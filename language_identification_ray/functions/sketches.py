@@ -289,15 +289,32 @@ def kmv_from_hashes(h64: np.ndarray, k: int = 1024) -> np.ndarray:
     return u[:k]
 
 
+def _check_k(k: int, *sketches: np.ndarray) -> None:
+    """Every KMV input must come from ``kmv_from_hashes(..., k)`` with the
+    call's own ``k``.  A sketch built with a smaller k looks like an exact
+    small set and biases every estimate silently; a longer one proves the
+    k's differ, so it is rejected."""
+    for sk in sketches:
+        if len(sk) > k:
+            raise ValueError(
+                f"KMV sketch of {len(sk)} values passed with k={k}: all "
+                "sketches of one merge/estimate must share the same k"
+            )
+
+
 def kmv_merge(a: np.ndarray, b: np.ndarray, k: int = 1024) -> np.ndarray:
-    """Merged bottom-``k`` distinct of two partials (associative)."""
+    """Merged bottom-``k`` distinct of two partials (associative).  Both
+    partials must be built with this same ``k`` (see ``_check_k``)."""
+    _check_k(k, a, b)
     return np.unique(np.concatenate([a, b]))[:k]
 
 
 def kmv_estimate(sk: np.ndarray, k: int = 1024) -> float:
     """Distinct-count estimate: exact when the stream had < k distinct
     values (the sketch holds them all), else the order-statistic estimator
-    (k-1) / kth_min scaled to the uint64 hash space."""
+    (k-1) / kth_min scaled to the uint64 hash space.  ``sk`` must be
+    built with this same ``k``."""
+    _check_k(k, sk)
     if len(sk) < k:
         return float(len(sk))
     kth = float(sk[k - 1]) + 1.0
@@ -309,7 +326,9 @@ def kmv_jaccard(a: np.ndarray, b: np.ndarray, k: int = 1024) -> float:
     sketches.  Exact only when the UNION of the two streams has < k
     distinct values (both sketches then hold their full sets AND the
     union's bottom-k is the whole union); two individually-unsaturated
-    sketches whose union exceeds k still yield an estimate."""
+    sketches whose union exceeds k still yield an estimate.  Both
+    sketches must be built with this same ``k``."""
+    _check_k(k, a, b)
     union = np.unique(np.concatenate([a, b]))[:k]
     if len(union) == 0:
         return 0.0

@@ -3262,10 +3262,6 @@ def events_hopping_window_watermark(
     one bucket-keyed groupby runs the in-order scan locally per bucket.
     The surviving rows then flow through the shared hop expansion — two
     bounded exchanges total, nothing driver-sized."""
-    import pyarrow.parquet as _pq
-
-    import ray
-
     hop_ns = np.int64(hop_min) * np.int64(60_000_000_000)
     kept = _watermark_kept_events(
         sf_dir, lateness_min, ["event_type", "value"], n_buckets

@@ -6,34 +6,36 @@ SURVEY.md §4.1); this module is the scale-out answer:
 
   * the input parquet file list is split into deterministic **work groups**
     (``group_size`` fragments each, sorted order — stable across runs);
-  * each group runs the full streaming pipeline and writes to its own
-    ``group=NNNNN/`` output directory — first into a ``_tmp_group=NNNNN``
-    staging dir (the leading underscore makes parquet dataset discovery
-    skip it, so partial output is invisible even mid-crash), renamed into
-    place only on success;
-  * per-group **lineage** (input files + row counters + wall time) is
-    appended as one JSON line to ``_LINEAGE.jsonl`` *after* the rename —
-    the commit record;
-  * a re-run reads the lineage file and **skips completed groups** —
-    idempotent resume; a crashed group leaves only a staging dir that the
-    next run clears and redoes.
+  * every pending group runs in ONE streaming execution:
+    ``read_parquet(include_paths=True)`` → ``build`` (the fused stage passes
+    ``path`` through) → ``_write_groups``, which writes each batch's rows
+    into their group's ``_tmp_group=NNNNN`` staging dir (parquet discovery
+    skips underscore dirs, so partial output stays invisible) and returns
+    one small ``(group, rows)`` row per group;
+  * ``run_resumable`` consumes those rows as they stream; when a group's rows
+    reach its input row count (parquet footers — the stage keeps row
+    count) and ``_count_staged`` agrees, the group **commits**: staging dir
+    renamed to ``group=NNNNN/``, directory fsynced, then one JSON
+    **lineage** line appended to ``_LINEAGE.jsonl``.  Groups commit as they
+    finish, so lineage lines may be out of group order;
+  * a re-run reads the lineage file and **skips completed groups**; a
+    crashed group leaves only a staging dir that the next run clears and
+    redoes.
 
-Live progress counters are collected by zero-cpu ``RunCounters`` actors
-that the final pipeline stage updates per batch (the distributed analogue
-of the reference notebooks' in-process ``Counter`` folds, e.g.
-``datasets/common_words.ipynb`` cell 2).  Those streaming counters are
-AT-LEAST-ONCE (a retried Ray task re-adds its batch), so the lineage
-record's counters are instead derived from the staged parquet itself —
-row counts from footers plus one bounded columnar read of keep /
-drop_reason — which is exactly-once by construction.
+A staged file is named by a hash of its rows' ``(path, url)`` pairs, so a
+retried task overwrites its own file instead of adding a duplicate; a
+count that disagrees is an error, never a commit.  Lineage counters come
+from the staged parquet (footer row counts plus one bounded read of keep /
+drop_reason), which is exactly-once by construction.
 
-At 100 TB: group_size × fragment size bounds per-checkpoint work (e.g. 64
-× 1 GiB fragments ≈ 64 GiB per commit); each group still fans out over the
-whole cluster, and the commit cadence (minutes) keeps redo-on-crash small.
+At 100 TB: group_size × fragment size bounds the work per commit (64 ×
+1 GiB fragments ≈ 64 GiB); a crash loses only the groups in flight, and the
+one execution keeps the cluster busy across group boundaries.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -41,91 +43,46 @@ import time
 from collections import Counter
 from typing import List
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
-
-import ray
+import pyarrow.parquet as pq
 
 LINEAGE_FILE = "_LINEAGE.jsonl"
 
 
-@ray.remote(num_cpus=0)
-class RunCounters:
-    """Cluster-wide run metrics: tiny actor, fire-and-forget updates."""
-
-    def __init__(self):
-        self.c = Counter()
-
-    def add(self, **kw) -> None:
-        self.c.update(kw)
-
-    def snapshot(self) -> dict:
-        return dict(self.c)
-
-    def reset(self) -> dict:
-        out = dict(self.c)
-        self.c.clear()
-        return out
+def _staging_dir(out_dir: str, gid: int) -> str:
+    return os.path.join(out_dir, f"_tmp_group={gid:05d}")
 
 
-class CounterPool:
-    """``n_shards`` RunCounters actors behind one snapshot/reset surface.
+def _write_groups(batch: pa.Table, out_dir: str, group_of: dict) -> pa.Table:
+    """Final pipeline stage: split ``batch`` by commit group (``group_of``
+    maps the ``path`` column to a group id), write each group's rows —
+    without ``path`` — to one parquet file in its staging dir, and return
+    one ``(group, rows)`` row per group.
 
-    Sinks update their shard SYNCHRONOUSLY (the landed-before-task-completes
-    guarantee that makes reset() race-free after ``write_parquet`` returns),
-    but each worker talks to its own shard, so the per-batch round-trip
-    scales with the shard count instead of serializing the whole final stage
-    through one actor's mailbox.  Size ``n_shards`` ~ cluster width / 32."""
-
-    def __init__(self, n_shards: int = 8):
-        self.shards = [RunCounters.remote() for _ in range(n_shards)]
-
-    def snapshot(self) -> dict:
-        totals: Counter = Counter()
-        for s in ray.get([sh.snapshot.remote() for sh in self.shards]):
-            totals.update(s)
-        return dict(totals)
-
-    def reset(self) -> dict:
-        totals: Counter = Counter()
-        for s in ray.get([sh.reset.remote() for sh in self.shards]):
-            totals.update(s)
-        return dict(totals)
-
-
-class _CountingSink:
-    """Final map_batches stage: updates a counter shard per batch and passes
-    the batch through unchanged (zero-copy).  Shard choice is per worker
-    process, so concurrent sink tasks spread over the pool.
-
-    LIVE metrics only — under Ray task retry the same batch can be added
-    twice (at-least-once), so committed lineage counts come from
-    ``_count_staged`` instead."""
-
-    def __init__(self, shards: List["ray.actor.ActorHandle"]):
-        self.shards = shards
-        self._shard = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self._shard is None:
-            self._shard = self.shards[os.getpid() % len(self.shards)]
-        kept = int(pc.sum(batch["keep"]).as_py() or 0)
-        reasons = Counter(
-            r for r in batch["drop_reason"].to_pylist() if r
-        )
-        # synchronous: guarantees the update has LANDED at the shard before
-        # this map task completes — so when write_parquet returns, the group's
-        # counters are complete and reset() cannot race a late add()
-        ray.get(
-            self._shard.add.remote(
-                rows=len(batch),
-                kept=kept,
-                dropped=len(batch) - kept,
-                **{f"drop_{k}": v for k, v in reasons.items()},
-            )
-        )
-        return batch
+    The file is named by a hash of its rows' ``(path, url)`` pairs, written
+    under a dot-prefixed temp name and ``os.replace``d into place, so a
+    retried task replaces its own file and never adds a duplicate."""
+    if batch.num_rows == 0:
+        return pa.table({"group": pa.array([], pa.int64()), "rows": pa.array([], pa.int64())})
+    paths = pc.dictionary_encode(batch["path"].combine_chunks())
+    gid_of_path = np.array([group_of[p] for p in paths.dictionary.to_pylist()], np.int64)
+    row_gid = gid_of_path[paths.indices.to_numpy()]
+    data = batch.drop_columns(["path"])
+    groups, counts = np.unique(row_gid, return_counts=True)
+    for g in groups:
+        mask = pa.array(row_gid == g)
+        part = data.filter(mask)
+        pairs = zip(batch["path"].filter(mask).to_pylist(), part["url"].to_pylist())
+        key = "\x1e".join(f"{p}\x1f{'-' if u is None else '+' + u}" for p, u in pairs)
+        name = hashlib.blake2b(key.encode("utf-8", "surrogatepass"), digest_size=16).hexdigest()
+        staging = _staging_dir(out_dir, int(g))
+        tmp = os.path.join(staging, f".{name}.{os.getpid()}.tmp")
+        pq.write_table(part, tmp)
+        os.replace(tmp, os.path.join(staging, f"{name}.parquet"))
+    return pa.table({"group": pa.array(groups, pa.int64()), "rows": pa.array(counts, pa.int64())})
 
 
 def list_input_files(input_path: str) -> List[str]:
@@ -169,6 +126,8 @@ def _count_staged(staging: str) -> dict:
     footers, kept/drop-reason from one bounded columnar read."""
     d = pads.dataset(staging)
     rows = d.count_rows()
+    if not rows:
+        return {"rows": 0, "kept": 0, "dropped": 0}
     tbl = d.to_table(columns=["keep", "drop_reason"])
     kept = int(pc.sum(tbl["keep"]).as_py() or 0)
     reasons = Counter(r for r in tbl["drop_reason"].to_pylist() if r)
@@ -268,10 +227,19 @@ def run_resumable(
 ) -> dict:
     """Run (or resume) the flagship pipeline over ``input_path`` parquet.
 
-    Returns {"groups_run": [...], "groups_skipped": [...], "counters": {...}}.
-    ``pages_dataset_fn(files) -> Dataset`` overrides the reader (tests use it
-    to inject the synthesized-pages schema).
+    Returns {"groups_run": [...], "groups_skipped": [...], "counters": {...},
+    "counters_run": {...}}.  ``pages_dataset_fn(files) -> Dataset``
+    overrides the reader (tests use it to inject the synthesized-pages
+    schema); it must keep one row per input row and carry each row's
+    source file in a ``path`` column, as ``read_parquet(files,
+    include_paths=True)`` does.
+
+    All pending groups run as one streaming execution and each commits as
+    soon as its rows are staged, so lineage lines may be appended out of
+    group order, and a record's ``wall_s`` is the seconds since this call's
+    previous commit (for the first commit, since the call started).
     """
+    t_call = time.time()
     files = list_input_files(input_path)
     if not files:
         raise FileNotFoundError(f"no parquet under {input_path}")
@@ -290,19 +258,12 @@ def run_resumable(
             "longer in the input.  Use a fresh out_dir."
         )
 
-    counters = CounterPool()
     ran, skipped = [], []
-    lineage_path = os.path.join(out_dir, LINEAGE_FILE)
-
-    lock = _RunLock(out_dir)
-    lock.__enter__()
-    try:
+    with _RunLock(out_dir):
         _run_groups(
-            groups, rel_root, out_dir, done, counters, ran, skipped,
-            lineage_path, pages_dataset_fn, pipeline_kwargs,
+            groups, rel_root, out_dir, done, ran, skipped, t_call,
+            pages_dataset_fn, pipeline_kwargs,
         )
-    finally:
-        lock.__exit__()
 
     totals: Counter = Counter()
     totals_run: Counter = Counter()
@@ -312,7 +273,7 @@ def run_resumable(
         if rec.get("group") in ran_set:
             totals_run.update(rec.get("counters", {}))
     return {
-        "groups_run": ran,
+        "groups_run": sorted(ran),
         "groups_skipped": skipped,
         "counters": dict(totals),  # ALL committed groups (table totals)
         "counters_run": dict(totals_run),  # only groups THIS invocation ran
@@ -320,12 +281,13 @@ def run_resumable(
 
 
 def _run_groups(
-    groups, rel_root, out_dir, done, counters, ran, skipped,
-    lineage_path, pages_dataset_fn, pipeline_kwargs,
+    groups, rel_root, out_dir, done, ran, skipped, t_call,
+    pages_dataset_fn, pipeline_kwargs,
 ) -> None:
     from language_identification_ray.pipelines.quality_filter import build as _build
     from language_identification_ray.sources.pages import read_pages as _read_pages
 
+    pending = {}
     for gid, gfiles in enumerate(groups):
         gname = f"group={gid:05d}"
         gdir = os.path.join(out_dir, gname)
@@ -349,25 +311,30 @@ def _run_groups(
                 )
             skipped.append(gid)
             continue
-        # leading underscore: parquet dataset discovery skips the staging
-        # dir, so a reader of out_dir never sees a crashed partial write
-        staging = os.path.join(out_dir, f"_tmp_{gname}")
+        staging = _staging_dir(out_dir, gid)
         for leftover in (staging, gdir + "._tmp", gdir):  # redo crashed attempts
             if os.path.exists(leftover):
                 shutil.rmtree(leftover)
+        os.makedirs(staging)
+        # absolute paths: the row tag read_parquet attaches must match this
+        # map whatever the caller's or the workers' cwd
+        pending[gid] = {os.path.abspath(f): pq.read_metadata(f).num_rows for f in gfiles}
 
-        t0 = time.time()
-        pages = pages_dataset_fn(gfiles) if pages_dataset_fn else _read_pages(gfiles)
-        out = _build(pages, **pipeline_kwargs)
-        # batch_size=None: count whatever block arrives — forcing a size
-        # would re-buffer the upstream 1024-row blocks just to count them
-        out = out.map_batches(
-            _CountingSink(counters.shards), batch_format="pyarrow", batch_size=None
-        )
-        out.write_parquet(staging)
-        counters.reset()  # streaming shards: clear per group (live view only)
-        group_counts = _count_staged(staging)  # exactly-once, from the data
-        os.rename(staging, gdir)  # commit point 1: output visible
+    t_prev = t_call
+
+    def commit(gid: int, streamed: int, rows: int) -> None:
+        """Commit a group whose ``streamed`` rows reached its input ``rows``."""
+        nonlocal t_prev
+        gname = f"group={gid:05d}"
+        staging = _staging_dir(out_dir, gid)
+        # exactly-once counters, from the data
+        group_counts = _count_staged(staging) if streamed == rows else {}
+        if not streamed == group_counts.get("rows") == rows:
+            raise RuntimeError(
+                f"{gname} not committed: input {rows} row(s), streamed {streamed}, "
+                f"staged {group_counts.get('rows', '-')}"
+            )
+        os.rename(staging, os.path.join(out_dir, gname))  # commit point 1
         # make the rename durable BEFORE the lineage record: otherwise a
         # power loss can persist the fsynced lineage line while the cached
         # rename is lost — resume would then skip a group with no output
@@ -376,15 +343,47 @@ def _run_groups(
             os.fsync(dfd)
         finally:
             os.close(dfd)
+        now = time.time()
         rec = {
             "group": gid,
             "dir": gname,
-            "input_files": rel_files,
-            "wall_s": round(time.time() - t0, 3),
+            "input_files": [os.path.relpath(f, rel_root) for f in groups[gid]],
+            "wall_s": round(now - t_prev, 3),
             "counters": group_counts,
         }
-        with open(lineage_path, "a") as f:  # commit point 2: lineage record
+        t_prev = now
+        with open(os.path.join(out_dir, LINEAGE_FILE), "a") as f:  # commit point 2: lineage record
             f.write(json.dumps(rec, sort_keys=True) + "\n")
             f.flush()
             os.fsync(f.fileno())
         ran.append(gid)
+
+    expected = {gid: sum(sizes.values()) for gid, sizes in pending.items()}
+    for gid in [g for g, n in expected.items() if n == 0]:
+        commit(gid, 0, 0)  # nothing to stream: commit the empty group now
+        del expected[gid]
+    if not expected:
+        return
+    # ONE execution over every pending group (empty fragments add nothing
+    # and would only stream schema-less blocks)
+    files = [f for gid in expected for f, n in pending[gid].items() if n]
+    group_of = {f: gid for gid in expected for f in pending[gid]}
+    pages = pages_dataset_fn(files) if pages_dataset_fn else _read_pages(files, include_paths=True)
+    out = _build(pages, **pipeline_kwargs).map_batches(
+        _write_groups,
+        batch_format="pyarrow",
+        batch_size=None,  # write whatever block arrives; no re-buffering
+        fn_kwargs={"out_dir": out_dir, "group_of": group_of},
+    )
+    streamed: Counter = Counter()
+    # prefetch_batches=0: Ray's prefetch window holds each block back until
+    # the next one arrives, so a group's last result would wait on another
+    # group's (or the end of the stream) before it could commit
+    for res in out.iter_batches(batch_size=None, batch_format="pyarrow", prefetch_batches=0):
+        for gid, n in zip(res["group"].to_pylist(), res["rows"].to_pylist()):
+            streamed[gid] += n
+            if streamed[gid] >= expected[gid]:
+                commit(gid, streamed[gid], expected[gid])
+    short = {g: f"{streamed[g]}/{n}" for g, n in expected.items() if streamed[g] < n}
+    if short:
+        raise RuntimeError(f"stream ended with group(s) short of their input rows: {short}")

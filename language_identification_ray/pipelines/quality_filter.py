@@ -104,6 +104,9 @@ class QualityFilterStage:
         # ~51 s of extraction compute squeezed through 2 CPUs and capped the
         # whole pipeline; in-pool it adds ~30 ms to a ~150 ms batch and
         # scales with pool width.  Read tasks stay pure I/O.
+        # the resumable runner tags rows with their source file; carry that
+        # tag through untouched so its final stage can route rows by group
+        path = batch["path"] if "path" in batch.schema.names else None
         batch = decode_extract_batch(batch)
         # materialize the text column ONCE for the whole fused chain — each
         # stage otherwise re-converts Arrow→Python strings (4× the memory
@@ -121,7 +124,8 @@ class QualityFilterStage:
             batch = self.ppl(batch, texts=texts)
         batch = self.scrub(batch, texts=texts, bt=bt)
         batch = self.rules(batch)
-        return batch.select([c for c in self.cols if c in batch.schema.names])
+        batch = batch.select([c for c in self.cols if c in batch.schema.names])
+        return batch if path is None else batch.append_column("path", path)
 
 
 def build(

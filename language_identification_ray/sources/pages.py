@@ -87,7 +87,7 @@ def _synthesize_batch(batch: pa.Table) -> pa.Table:
         out_lang.append(_WRONG_LANG.get(lang, lang) if d % 11 == 0 else lang)
 
     ts = _EPOCH_2024 + doc_ids.astype("timedelta64[us]") * 1_000_000
-    return pa.table(
+    out = pa.table(
         {
             "url": pa.array(urls, pa.string()),
             "warc_ts": pa.array(ts, pa.timestamp("us")),
@@ -96,6 +96,10 @@ def _synthesize_batch(batch: pa.Table) -> pa.Table:
             "lang": pa.array(out_lang, pa.string()),
         }
     )
+    # a source-file tag from read_parquet(include_paths=True) passes through
+    if "path" in batch.schema.names:
+        out = out.append_column("path", batch["path"])
+    return out
 
 
 def synthesize_pages(sf_dir: str) -> "rd.Dataset":
@@ -104,7 +108,10 @@ def synthesize_pages(sf_dir: str) -> "rd.Dataset":
     return ds.map_batches(_synthesize_batch, batch_format="pyarrow")
 
 
-def read_pages(path: str, columns: Optional[list] = None) -> "rd.Dataset":
+def read_pages(
+    path, columns: Optional[list] = None, include_paths: bool = False
+) -> "rd.Dataset":
     """Production source: the pages table straight off Parquet with column
-    pruning pushed to the read."""
-    return rd.read_parquet(path, columns=columns)
+    pruning pushed to the read; ``include_paths`` adds each row's source
+    file as a ``path`` column."""
+    return rd.read_parquet(path, columns=columns, include_paths=include_paths)

@@ -24,12 +24,14 @@ worker.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from typing import List, Optional, Tuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+import ray
 import ray.data as rd
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,21 @@ def _runs(sorted_keys: np.ndarray):
             yield int(s), int(e)
 
 
+@ray.remote(num_cpus=0)
+class RunCounters:
+    """Cluster-visible counter sink for ``_CapTally``: a zero-cpu actor
+    whose ``add`` sums keyword counts and ``snapshot`` reads them back."""
+
+    def __init__(self):
+        self.c = Counter()
+
+    def add(self, **kw) -> None:
+        self.c.update(kw)
+
+    def snapshot(self) -> dict:
+        return dict(self.c)
+
+
 class _CapTally:
     """Surfaces truncated verification buckets as DATA, not just worker
     stdout: with a ``RunCounters`` handle the caps land in cluster-visible
@@ -204,8 +221,6 @@ class _CapTally:
 
     def flush(self) -> None:
         if self._buckets and self._counters is not None:
-            import ray
-
             ray.get(
                 self._counters.add.remote(
                     **{

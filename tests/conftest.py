@@ -31,3 +31,17 @@ def ray_session():
 @pytest.fixture(scope="session")
 def sf_dir():
     return SF_DIR
+
+
+@pytest.fixture(scope="session")
+def sharded_input(ray_session, sf_dir, tmp_path_factory):
+    """documents.parquet split into 4 fragment files (multi-file input)."""
+    import pyarrow.parquet as pq
+
+    src = pq.read_table(os.path.join(sf_dir, "documents.parquet"))
+    d = tmp_path_factory.mktemp("shards")
+    n = len(src)
+    step = (n + 3) // 4
+    for i in range(4):
+        pq.write_table(src.slice(i * step, step), str(d / f"part-{i:03d}.parquet"))
+    return str(d), n

@@ -9,24 +9,14 @@ import pyarrow.parquet as pq
 import pytest
 
 
-@pytest.fixture(scope="module")
-def sharded_input(ray_session, sf_dir, tmp_path_factory):
-    """documents.parquet split into 4 fragment files (multi-file input)."""
-    src = pq.read_table(os.path.join(sf_dir, "documents.parquet"))
-    d = tmp_path_factory.mktemp("shards")
-    n = len(src)
-    step = (n + 3) // 4
-    for i in range(4):
-        pq.write_table(src.slice(i * step, step), str(d / f"part-{i:03d}.parquet"))
-    return str(d), n
-
-
 def _synth_fn(files):
     import ray.data as rd
 
     from language_identification_ray.sources.pages import _synthesize_batch
 
-    return rd.read_parquet(files).map_batches(_synthesize_batch, batch_format="pyarrow")
+    return rd.read_parquet(files, include_paths=True).map_batches(
+        _synthesize_batch, batch_format="pyarrow"
+    )
 
 
 def test_run_resume_and_crash_redo(ray_session, sharded_input, tmp_path):
@@ -110,26 +100,12 @@ def test_resume_rejects_changed_input_set(ray_session, sharded_input, tmp_path):
         run_resumable(str(subset), out, group_size=2, pages_dataset_fn=_synth_fn)
 
 
-def test_counter_pool_aggregates_across_shards(ray_session):
-    import ray
-
-    from language_identification_ray.pipelines.checkpoint import CounterPool
-
-    pool = CounterPool(n_shards=3)
-    ray.get([sh.add.remote(rows=10, kept=7) for sh in pool.shards])
-    snap = pool.snapshot()
-    assert snap == {"rows": 30, "kept": 21}
-    assert pool.reset() == {"rows": 30, "kept": 21}
-    assert pool.snapshot() == {}
-
-
 def test_dedup_cap_surfaces_in_counters(ray_session):
     """Truncated verification buckets must be observable as counter data."""
     import ray
     import ray.data as rd
 
-    from language_identification_ray.pipelines.checkpoint import RunCounters
-    from language_identification_ray.stages.dedup import minhash_lsh_pairs
+    from language_identification_ray.stages.dedup import RunCounters, minhash_lsh_pairs
 
     # 12 identical docs land in one bucket; max_bucket=8 forces a cap
     rows = [{"doc_id": i, "text": "alpha beta gamma delta epsilon zeta"} for i in range(12)]
@@ -219,3 +195,128 @@ def test_staging_dir_is_invisible_to_parquet_readers(ray_session, sharded_input,
     staging = os.path.join(out, "_tmp_group=00007")
     shutil.copytree(os.path.join(out, "group=00000"), staging)
     assert len(rd.read_parquet(out).to_pandas()) == n_rows  # staging unseen
+
+
+def test_groups_commit_incrementally_and_partial_failure_redoes_rest(
+    ray_session, sharded_input, tmp_path
+):
+    """Groups commit while the one execution is still streaming: when rows
+    of the last group fail, the earlier groups stay committed (lineage line
+    and group= dir), and a re-run redoes only the rest, byte-identical to a
+    clean run."""
+    import time
+
+    import ray.data as rd
+
+    from language_identification_ray.pipelines.checkpoint import (
+        LINEAGE_FILE,
+        completed_groups,
+        run_resumable,
+    )
+    from language_identification_ray.sources.pages import _synthesize_batch
+
+    input_dir, n_rows = sharded_input
+    last = os.path.abspath(os.path.join(input_dir, sorted(os.listdir(input_dir))[-1]))
+    out = str(tmp_path / "out")
+    lineage_path = os.path.join(out, LINEAGE_FILE)
+
+    def fail_last_group(batch: pa.Table) -> pa.Table:
+        if last in batch["path"].to_pylist():
+            # fail only once the other three groups have committed (bounded
+            # wait: if they never do, the assertions below catch it)
+            deadline = time.time() + 120
+            while time.time() < deadline:
+                if os.path.exists(lineage_path):
+                    with open(lineage_path) as f:
+                        if sum(1 for line in f if line.strip()) >= 3:
+                            break
+                time.sleep(0.2)
+            raise ValueError("injected failure on the last group's rows")
+        return _synthesize_batch(batch)
+
+    def failing_fn(files):
+        # num_cpus=0 keeps this map out of the pool actor (an unequal
+        # resource request blocks operator fusion), so its wait blocks
+        # neither the actor nor a CPU the other groups need
+        return rd.read_parquet(files, include_paths=True).map_batches(
+            fail_last_group, batch_format="pyarrow", num_cpus=0
+        )
+
+    kw = dict(group_size=1, langid_concurrency=1, batch_size=32)
+    with pytest.raises(Exception, match="injected failure"):
+        run_resumable(input_dir, out, pages_dataset_fn=failing_fn, **kw)
+    done = completed_groups(out)
+    assert set(done) == {0, 1, 2}
+    for gid in (0, 1, 2):
+        assert os.path.isdir(os.path.join(out, f"group={gid:05d}"))
+    assert not os.path.exists(os.path.join(out, "group=00003"))
+
+    info = run_resumable(input_dir, out, pages_dataset_fn=_synth_fn, **kw)
+    assert info["groups_run"] == [3]
+    assert info["groups_skipped"] == [0, 1, 2]
+    assert info["counters"]["rows"] == n_rows
+
+    clean = str(tmp_path / "clean")
+    run_resumable(input_dir, clean, pages_dataset_fn=_synth_fn, **kw)
+    got = rd.read_parquet(out).to_pandas().sort_values("url").reset_index(drop=True)
+    want = rd.read_parquet(clean).to_pandas().sort_values("url").reset_index(drop=True)
+    assert len(got) == len(want) == n_rows
+    assert (got["url"] == want["url"]).all()
+    assert (got["scrubbed_text"] == want["scrubbed_text"]).all()
+    assert (got["keep"] == want["keep"]).all()
+
+
+def test_empty_group_commits_with_zero_rows(ray_session, sharded_input, tmp_path):
+    """A group whose fragments hold no rows commits (rows = 0) without
+    waiting on the stream, next to the groups that do stream."""
+    import shutil
+
+    import pyarrow.dataset as pads
+
+    from language_identification_ray.pipelines.checkpoint import (
+        completed_groups,
+        run_resumable,
+    )
+
+    input_dir, n_rows = sharded_input
+    src = tmp_path / "in"
+    shutil.copytree(input_dir, src)
+    first = pq.read_table(os.path.join(input_dir, sorted(os.listdir(input_dir))[0]))
+    pq.write_table(first.slice(0, 0), str(src / "part-999.parquet"))  # empty fragment
+
+    out = str(tmp_path / "out")
+    info = run_resumable(str(src), out, group_size=1, pages_dataset_fn=_synth_fn)
+    assert info["groups_run"] == [0, 1, 2, 3, 4]
+    done = completed_groups(out)
+    assert done[4]["counters"] == {"rows": 0, "kept": 0, "dropped": 0}
+    assert os.path.isdir(os.path.join(out, "group=00004"))
+    assert info["counters"]["rows"] == n_rows
+    assert pads.dataset(out).count_rows() == n_rows
+
+
+def test_row_count_mismatch_is_never_committed(ray_session, sharded_input, tmp_path):
+    """A reader that duplicates rows streams more rows than a group's input
+    holds: the run must fail and commit no group."""
+    import ray.data as rd
+
+    from language_identification_ray.pipelines.checkpoint import (
+        completed_groups,
+        run_resumable,
+    )
+    from language_identification_ray.sources.pages import _synthesize_batch
+
+    def doubled(batch: pa.Table) -> pa.Table:
+        pages = _synthesize_batch(batch)
+        return pa.concat_tables([pages, pages])
+
+    def doubling_fn(files):
+        return rd.read_parquet(files, include_paths=True).map_batches(
+            doubled, batch_format="pyarrow"
+        )
+
+    input_dir, _ = sharded_input
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError, match="not committed"):
+        run_resumable(input_dir, out, group_size=4, pages_dataset_fn=doubling_fn)
+    assert completed_groups(out) == {}
+    assert not os.path.exists(os.path.join(out, "group=00000"))

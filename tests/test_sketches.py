@@ -280,6 +280,31 @@ def test_kmv_exact_regime_and_merge():
     assert (m == np.unique(np.concatenate([sa, sb]))[:1024]).all()
 
 
+def test_kmv_rejects_sketch_longer_than_k():
+    """A sketch built with a larger k than the call's must fail loudly."""
+    import numpy as np
+    import pandas as pd
+
+    from language_identification_ray.functions.sketches import (
+        kmv_estimate, kmv_from_hashes, kmv_jaccard, kmv_merge,
+    )
+
+    big = kmv_from_hashes(pd.util.hash_array(np.arange(300, dtype=np.int64)), 256)
+    small = kmv_from_hashes(pd.util.hash_array(np.arange(50, dtype=np.int64)), 64)
+    assert len(big) == 256
+    with pytest.raises(ValueError, match="same k"):
+        kmv_merge(big, small, 64)
+    with pytest.raises(ValueError, match="same k"):
+        kmv_merge(small, big, 64)
+    with pytest.raises(ValueError, match="same k"):
+        kmv_jaccard(small, big, 64)
+    with pytest.raises(ValueError, match="same k"):
+        kmv_estimate(big, 64)
+    # same k throughout: accepted, and a sketch of exactly k values is fine
+    assert len(kmv_merge(big, big, 256)) == 256
+    assert kmv_estimate(small, 64) == 50.0
+
+
 def test_kmv_estimation_accuracy():
     import numpy as np
     import pandas as pd
