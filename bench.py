@@ -5,24 +5,21 @@ quality → scrub → rules) over pages synthesized from
 ``$GRAFT_SF_DIR/documents.parquet`` (default /root/testdata/sf0.1),
 replicated ``PAGES_REPLICATION``× with distinct urls so the run is long
 enough to measure (documents at sf0.1 is only 5k rows), plus each
-oracle-backed query timed individually.
+oracle-backed query timed individually.  ``RAY_GRAFT_CPUS`` sets the Ray
+session width (default: this host's CPU count).
 
-``--scaling``: runs the headline twice in FRESH processes at
-``num_cpus=8`` and ``num_cpus=32`` on the same input and reports both
-throughputs + scaling efficiency (the sandbox stand-in for the N vs 4N-node
-cluster criterion; see BASELINE.md).
+The repository benchmark with per-layer metrics is ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 4))
 PAGES_REPLICATION = int(os.environ.get("PAGES_REPLICATION", "40"))
 
 
@@ -136,23 +133,10 @@ def run_headline() -> dict:
     n_kept = written.scanner(columns=["keep"]).to_table()["keep"].to_pandas().sum()
     assert n_rows == n_pages, (n_rows, n_pages)
 
-    # individual oracle-backed queries (each consumed to completion);
-    # skipped in --scaling subruns (the criterion is headline throughput)
+    # individual oracle-backed queries (each consumed to completion)
     import __ray_entry__ as entrymod
 
     queries = {}
-    if os.environ.get("BENCH_HEADLINE_ONLY") == "1":
-        return {
-            "metric": "flagship_pipeline_sec",
-            "value": round(headline_sec, 3),
-            "unit": "sec",
-            "docs_per_sec": round(n_pages / headline_sec, 1),
-            "n_docs": n_pages,
-            "kept_frac": round(n_kept / max(n_rows, 1), 4),
-            "queries": {},
-            "sf": SF_DIR,
-            "num_cpus": NUM_CPUS,
-        }
     for name, fn in entrymod.queries().items():
         t0 = time.time()
         try:
@@ -183,138 +167,31 @@ def run_headline() -> dict:
     }
 
 
-def _spin_worker(seconds: float) -> int:
-    t_end = time.perf_counter() + seconds
-    n = 0
-    while time.perf_counter() < t_end:
-        for _ in range(10_000):
-            n += 1
-    return n
-
-
-def _spin_probe(seconds: float = 1.0, nworkers: int = 32) -> float:
-    """Effective-parallelism probe: aggregate busy-loop rate of ``nworkers``
-    processes over the single-process rate.  ~25-30x on a calm 32-vCPU
-    host; hypervisor steal depresses the reading (the round-3 contended
-    windows read 21.9-24.3x).  Attached to every scaling pair so sub-bar
-    efficiencies are attributable (VERDICT r3 #7)."""
-    import multiprocessing as mp
-
-    single = _spin_worker(seconds) / seconds
-    with mp.Pool(nworkers) as pool:
-        counts = pool.map(_spin_worker, [seconds] * nworkers)
-    return round((sum(counts) / seconds) / single, 1)
-
-
-_CAMPAIGN_FILE = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "SCALING_CAMPAIGN.json"
-)
-
-
-def _append_campaign(row: dict) -> None:
-    """Append one {efficiency, probe_before/mid/after, legs} row to the
-    BASELINE.json-adjacent campaign artifact (a JSON array)."""
-    rows = []
-    if os.path.exists(_CAMPAIGN_FILE):
-        try:
-            with open(_CAMPAIGN_FILE) as f:
-                rows = json.load(f)
-        except (json.JSONDecodeError, OSError):
-            rows = []
-    rows.append(row)
-    with open(_CAMPAIGN_FILE, "w") as f:
-        json.dump(rows, f, indent=1)
-
-
-def run_scaling() -> dict:
-    def one(ncpu: int) -> dict:
-        # 8x the default corpus for the scaling pair: strong scaling needs
-        # enough work to amortize session/actor-pool startup (~5 s) at 32
-        # CPUs; the materialized input is cached across both subruns.
-        env = dict(
-            os.environ,
-            RAY_GRAFT_CPUS=str(ncpu),
-            BENCH_HEADLINE_ONLY="1",
-            PAGES_REPLICATION=str(PAGES_REPLICATION * 8),
-        )
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        ).stdout
-        return json.loads(out.strip().splitlines()[-1])
-
-    # three widths by default (VERDICT r4 #6: a middle leg makes steal-skew
-    # easier to reject — a genuine scaling curve is monotone across 8/16/32,
-    # an asymmetric steal window breaks one pairwise efficiency only)
-    widths = [
-        int(w) for w in os.environ.get("SCALING_WIDTHS", "8,16,32").split(",")
-    ]
-    probes = [_spin_probe()]
-    legs = {}
-    for w in widths:
-        legs[w] = one(w)
-        probes.append(_spin_probe())
-    lo, hi = widths[0], widths[-1]
-    eff = (legs[lo]["value"] / legs[hi]["value"]) / (hi / lo)
-    result = {
-        "metric": "scaling_efficiency",
-        "value": round(eff, 3),
-        "unit": "ratio",
-        "probe_before": probes[0],
-        "probe_mid": probes[len(probes) // 2],
-        "probe_after": probes[-1],
-        "probes": probes,
-        "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "sf": SF_DIR,
-    }
-    for w in widths:
-        result[f"sec_{w}"] = legs[w]["value"]
-        result[f"docs_per_sec_{w}"] = legs[w]["docs_per_sec"]
-    for a, b in zip(widths, widths[1:]):
-        result[f"eff_{a}_{b}"] = round(
-            (legs[a]["value"] / legs[b]["value"]) / (b / a), 3
-        )
-    _append_campaign(result)
-    return result
-
-
 if __name__ == "__main__":
-    if "--scaling" in sys.argv:
-        print(json.dumps(run_scaling()))
-    else:
-        result = run_headline()
-        # The driver captures only the TAIL of stdout and parses the FINAL
-        # line as the run's JSON (BENCH_r02.json came back "parsed": null
-        # because the 77-entry per-query map pushed the line past the
-        # capture window).  Emit the full record on an EARLIER line and to a
-        # sidecar file, then a compact headline-only object as the final
-        # line so the flagship number is always parseable.
-        print(json.dumps(result))
-        if os.environ.get("BENCH_HEADLINE_ONLY") != "1":  # scaling subruns skip the sidecar
-            try:
-                with open(
-                    os.path.join(
-                        os.path.dirname(os.path.abspath(__file__)), "BENCH_QUERIES.json"
-                    ),
-                    "w",
-                ) as f:
-                    json.dump(result, f, indent=1)
-            except OSError:
-                pass
-        compact = {k: v for k, v in result.items() if k != "queries"}
-        compact["queries"] = {
-            "n_timed": sum(v is not None for v in result["queries"].values()),
-            "n_failed": sum(v is None for v in result["queries"].values()),
-            "total_sec": round(
-                sum(v for v in result["queries"].values() if v is not None), 3
-            ),
-        }
-        compact["queries_file"] = "BENCH_QUERIES.json"
-        print(json.dumps(compact))
-        import ray
+    result = run_headline()
+    # The driver captures only the TAIL of stdout and parses the FINAL line
+    # as the run's JSON (BENCH_r02.json came back "parsed": null because the
+    # 77-entry per-query map pushed the line past the capture window).  Emit
+    # the full record on an EARLIER line and to a sidecar file, then a
+    # compact headline-only object as the final line so the flagship number
+    # is always parseable.
+    print(json.dumps(result))
+    try:
+        with open(
+            os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_QUERIES.json"),
+            "w",
+        ) as f:
+            json.dump(result, f, indent=1)
+    except OSError:
+        pass
+    compact = {k: v for k, v in result.items() if k != "queries"}
+    compact["queries"] = {
+        "n_timed": sum(v is not None for v in result["queries"].values()),
+        "n_failed": sum(v is None for v in result["queries"].values()),
+        "total_sec": round(sum(v for v in result["queries"].values() if v is not None), 3),
+    }
+    compact["queries_file"] = "BENCH_QUERIES.json"
+    print(json.dumps(compact))
+    import ray
 
-        ray.shutdown()
+    ray.shutdown()

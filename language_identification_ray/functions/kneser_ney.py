@@ -268,27 +268,9 @@ class KNModel:
 
         n_docs = len(texts)
         out = np.full(n_docs, np.nan)
-        prep = self._prep_score_arrays(texts, tid, bos, eos)
-        if prep is None:  # lone-surrogate input: exact per-doc fallback
-            ids: List[int] = []
-            doc_of: List[int] = []
-            valid: List[bool] = []
-            for d, text in enumerate(texts):
-                for toks in lm_sentences(text or ""):
-                    seq = [bos, bos] + [tid.get(t, 0) for t in toks] + [eos]
-                    ids.extend(seq)
-                    doc_of.extend([d] * len(seq))
-                    valid.extend([False, False] + [True] * (len(seq) - 2))
-            if not ids:
-                return out.tolist()
-            I = np.asarray(ids, dtype=np.int64)
-            Dall = np.asarray(doc_of, dtype=np.int64)
-            pos = np.flatnonzero(np.asarray(valid, dtype=bool))
-            w0, w1, w2, D = I[pos - 2], I[pos - 1], I[pos], Dall[pos]
-        else:
-            w0, w1, w2, D = prep
-            if not len(w2):
-                return out.tolist()
+        w0, w1, w2, D = self._prep_score_arrays(texts, tid, bos, eos)
+        if not len(w2):
+            return out.tolist()
 
         K3, P3 = self._idx["grams"][3]
         K2, P2 = self._idx["grams"][2]
@@ -322,9 +304,9 @@ class KNModel:
         gather (the table reproduces _RE_DROP / _RE_WS / str.isspace /
         _RE_ENDERS per codepoint exactly), token runs + "'-" edge strips
         vectorized, token→id via exact dict-encode (tid.get once per
-        DISTINCT token).  Returns None when the input contains lone
-        surrogates (strict utf-32 encode fails) — the caller then takes the
-        per-doc path, which operates on str and never encodes."""
+        DISTINCT token).  The encode uses "surrogatepass": a lone surrogate
+        (surrogateescape-decoded bytes) keeps its own codepoint, which the
+        table maps to a boundary just as _RE_DROP drops it."""
         import numpy as np
 
         from language_identification_ray.functions.tokenizer import (
@@ -334,15 +316,11 @@ class KNModel:
 
         lowered = [(t or "").lower() for t in texts]
         joined = ".".join(lowered)
-        try:
-            buf = joined.encode("utf-32-le")
-        except UnicodeEncodeError:
-            return None
         e64 = np.int64
         if not joined:
             z = np.empty(0, dtype=e64)
             return z, z, z, z
-        cps = np.frombuffer(buf, dtype=np.uint32)
+        cps = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
         act = _lm_char_table()[cps]
         is_tok = act == 0
         starts = np.flatnonzero(is_tok & ~np.concatenate([[False], is_tok[:-1]]))
@@ -370,7 +348,7 @@ class KNModel:
         lens_docs = np.fromiter((len(t) for t in lowered), dtype=e64, count=len(lowered))
         offs = np.concatenate([[0], np.cumsum(lens_docs + 1)])
         docid = np.searchsorted(offs[1:], starts, side="right")
-        uid, ustarts, ulens = dict_encode_segments(cps, starts, ends - starts, joined)
+        uid, ustarts, ulens = dict_encode_segments(cps, starts, ends - starts)
         tok2id = np.fromiter(
             (
                 tid.get(joined[s : s + l], 0)

@@ -18,6 +18,8 @@ from __future__ import annotations
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from language_identification_ray.state.scripts import load_chartables
 
@@ -62,62 +64,36 @@ def segment_positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 def dict_encode_segments(
-    cps: np.ndarray, starts: np.ndarray, lens: np.ndarray, joined: str
+    cps: np.ndarray, starts: np.ndarray, lens: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact dictionary encoding of arbitrary codepoint segments.
+    """Exact dictionary encoding of non-overlapping, ascending codepoint
+    segments of ``cps``.
 
     Returns ``(uid, ustarts, ulens)``: ``uid`` is int64[n_segments] with
-    ``uid[i] == uid[j]`` iff segments i and j are codepoint-identical;
-    ``ustarts``/``ulens`` locate one representative occurrence of each
-    distinct segment (decode as ``joined[s : s + l]``).
+    ``uid[i] == uid[j]`` iff segments i and j are codepoint-identical, ids
+    numbered in order of first occurrence; ``ustarts``/``ulens`` locate that
+    first occurrence of each distinct segment.
 
-    EXACT, not probabilistic: a 64-bit FNV-style hash over the first 64
-    codepoints (+ length) only GROUPS candidates; every segment is then
-    char-verified against its group representative in one vectorized pass
-    (O(total segment chars)), and any group that fails verification — a
-    true hash collision or a >64-cp shared prefix — is re-split through a
-    Python dict on the decoded strings (adversarial-input path; never taken
-    on natural text)."""
+    The segments are viewed zero-copy as the even elements of a
+    ``LargeBinaryArray`` over the UTF-32 buffer (offsets = interleaved
+    segment starts and ends × 4), gathered with one ``take`` and encoded by
+    Arrow's hash kernel, which compares bytes — exact by construction."""
     m = len(starts)
     if m == 0:
         e = np.empty(0, dtype=np.int64)
         return e, e, e
-    h = lens.astype(np.uint64) * np.uint64(0x100000001B3)
-    prime = np.uint64(1099511628211)
-    for i in range(int(min(lens.max(), 64))):
-        mask = lens > i
-        hm = h[mask]
-        h[mask] = (hm * prime) ^ cps[starts[mask] + i].astype(np.uint64)
-    order = np.argsort(h, kind="stable")
-    hs = h[order]
-    grp_first = np.empty(m, dtype=bool)
-    grp_first[0] = True
-    grp_first[1:] = hs[1:] != hs[:-1]
-    gid_sorted = np.cumsum(grp_first) - 1
-    rep_word = order[np.flatnonzero(grp_first)]  # segment idx of each group's first member
-    rep_of = rep_word[gid_sorted]  # rep segment idx per sorted position
-    w = order
-    ok = lens[w] == lens[rep_of]
-    cand = np.flatnonzero(ok & (w != rep_of))
-    if len(cand):
-        cw, cr = w[cand], rep_of[cand]
-        cl = lens[cw]
-        eq = cps[segment_positions(starts[cw], cl)] == cps[segment_positions(starts[cr], cl)]
-        ptr = np.concatenate([[0], np.cumsum(cl)])[:-1]
-        bad_per = np.add.reduceat(~eq, ptr) if len(eq) else np.zeros(len(cand), dtype=np.int64)
-        ok[cand] = bad_per == 0
-    class_rep = rep_of.copy()  # canonical segment idx per sorted position
-    bad = np.flatnonzero(~ok)
-    if len(bad):  # collision path: exact re-split via decoded strings
-        extra: dict = {}
-        for pos in bad:
-            widx = int(w[pos])
-            s = int(starts[widx])
-            class_rep[pos] = extra.setdefault(joined[s : s + int(lens[widx])], widx)
-    uniq_keys, inv = np.unique(class_rep, return_inverse=True)
-    uid = np.empty(m, dtype=np.int64)
-    uid[w] = inv
-    return uid, starts[uniq_keys], lens[uniq_keys]
+    offsets = np.empty(2 * m, dtype=np.int64)
+    offsets[0::2] = starts * 4
+    offsets[1::2] = (starts + lens) * 4
+    spans = pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), 2 * m - 1, [None, pa.py_buffer(offsets), pa.py_buffer(cps)]
+    )
+    words = spans.take(pa.array(np.arange(0, 2 * m, 2)))
+    uid = pc.dictionary_encode(words).indices.to_numpy().astype(np.int64)
+    # ids are handed out in first-occurrence order: a new id is a new max
+    seen = np.maximum.accumulate(uid)
+    first = np.concatenate([[0], np.flatnonzero(seen[1:] > seen[:-1]) + 1])
+    return uid, starts[first], lens[first]
 
 
 class BatchTokens:
@@ -201,27 +177,20 @@ class BatchTokens:
         return flat.reshape(n, 5).astype(np.int64)
 
     def word_ids(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exact batch-level dictionary encoding of the word tokens.
+        """Exact batch-level dictionary encoding of the word tokens
+        (:func:`dict_encode_segments` over ``cps``).
 
         Returns ``(uid, ustarts, ulens)``: ``uid`` is int64[n_words] with
         ``uid[i] == uid[j]`` iff words i and j are codepoint-identical;
-        ``ustarts``/``ulens`` locate one representative occurrence of each
-        distinct word inside ``joined`` (so distinct word k is
-        ``joined[ustarts[k] : ustarts[k] + ulens[k]]``).
-
-        EXACT, not probabilistic: a 64-bit FNV-style hash over the first 64
-        codepoints (+ length) only GROUPS candidates; every word is then
-        char-verified against its group representative in one vectorized
-        pass (O(total word chars)), and any group that fails verification —
-        a true hash collision or a >64-cp shared prefix — is re-split
-        through a Python dict on the decoded strings (adversarial-input
-        path; never taken on natural text).  Result is cached per batch:
-        quality stats, scrub, and any other per-word fold pay the encode
-        once and do Python work per DISTINCT word only.
+        ``ustarts``/``ulens`` locate the first occurrence of each distinct
+        word inside ``joined`` (so distinct word k is
+        ``joined[ustarts[k] : ustarts[k] + ulens[k]]``).  Cached per batch:
+        quality stats and any other per-word fold pay the encode once and
+        do Python work per DISTINCT word only.
         """
         if self._word_uids is None:
             self._word_uids = dict_encode_segments(
-                self.cps, self.word_starts, self.word_ends - self.word_starts, self.joined
+                self.cps, self.word_starts, self.word_ends - self.word_starts
             )
         return self._word_uids
 

@@ -9789,6 +9789,13 @@ def source_mix_entropy(sf_dir: str) -> "rd.Dataset":
     )
 
 
+def _es_local_top_k(ids: np.ndarray, key: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the first ``k`` rows in ``(key DESC, id ASC)`` order — the
+    order of the final sort and the oracle, so a tie at the cut keeps the
+    same doc_id on both engines."""
+    return np.lexsort((ids, -key))[:k]
+
+
 def weighted_sample_docs(sf_dir: str, k: int = 100) -> "rd.Dataset":
     """Weighted sampling WITHOUT replacement at corpus scale — the
     Efraimidis–Spirtes A-ES reservoir (each item ranked by
@@ -9803,7 +9810,7 @@ def weighted_sample_docs(sf_dir: str, k: int = 100) -> "rd.Dataset":
     identity) on both engines.
 
     Scale shape: map-only per-batch key computation with a LOCAL top-``k``
-    prefilter (argpartition), then one ``k``-bounded global sort — the
+    prefilter (:func:`_es_local_top_k`), then one ``k``-bounded global sort — the
     exchange moves at most ``k`` rows per batch, never the corpus."""
     import hashlib
 
@@ -9820,7 +9827,7 @@ def weighted_sample_docs(sf_dir: str, k: int = 100) -> "rd.Dataset":
         u = (v + 1) / 4294967297.0  # (0, 1]
         key = np.log(u) / w
         if len(key) > k:  # local prefilter: only k candidates can survive
-            top = np.argpartition(-key, k - 1)[:k]
+            top = _es_local_top_k(ids, key, k)
             ids, w, key = ids[top], w[top], key[top]
         return pa.table(
             {

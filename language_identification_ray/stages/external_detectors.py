@@ -25,9 +25,12 @@ opportunistically without hard dependencies.
 
 from __future__ import annotations
 
+import logging
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Ranking = List[Tuple[str, float]]
+
+_log = logging.getLogger(__name__)
 
 
 class _ExternalBase:
@@ -237,6 +240,8 @@ def available_external_detectors() -> dict:
     for name, cls in _REGISTRY.items():
         try:
             out[name] = cls()
-        except (ImportError, OSError, ValueError):
+        except ImportError:  # library not installed here: expected, silent
             continue
+        except (OSError, ValueError) as e:  # installed but failed to load
+            _log.warning("detector %s unavailable: %s: %s", name, type(e).__name__, e)
     return out

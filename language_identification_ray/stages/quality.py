@@ -122,8 +122,10 @@ class QualityStats:
 
         # --- stopword hits + dup-3gram fraction, vectorized -----------------
         # Word identity comes from the batch's exact dictionary encoding
-        # (BatchTokens.word_ids); Python work (slice + str.lower + one dict
-        # get) happens once per DISTINCT raw word, not once per occurrence.
+        # (BatchTokens.word_ids — Arrow's hash kernel over the UTF-32 word
+        # bytes); Python work (slice + str.lower + one dict get) happens
+        # once per DISTINCT raw word, at its first occurrence, not once per
+        # occurrence.
         # str.lower() on the decoded word keeps full-string lowercase
         # semantics (İ → i̇ etc.) — a per-codepoint table would diverge.
         uid, ustarts, ulens = bt.word_ids()

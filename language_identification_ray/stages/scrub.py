@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 import pyarrow as pa
 
+from language_identification_ray.functions.tokenizer import BatchTokens
 from language_identification_ray.stages.langid import set_or_append
 
 RE_EMAIL = re.compile(r"[\w.+-]+@[\w-]+(?:\.[\w-]+)+", flags=re.U)
@@ -61,21 +62,13 @@ def _scrub_gates(texts: List[str], bt=None) -> tuple:
     if n == 0:
         z = np.zeros(0, dtype=bool)
         return z, z, z
-    if bt is not None:
-        # fused-stage path: reuse the QualityStats BatchTokens buffer (same
-        # '\n' join, same offsets math) — skips a second utf-32 encode of
-        # the whole batch plus its doc_of searchsorted
-        cps = bt.cps
-        doc_of = bt.doc_of_char()
-    else:
-        joined = "\n".join(texts)
-        # errors="replace": a lone surrogate (surrogateescape-decoded WARC
-        # bytes) must gate as '?' noise, not raise and kill the whole batch
-        # — same defense the langid codepoint gather applies
-        cps = np.frombuffer(joined.encode("utf-32-le", errors="replace"), dtype=np.uint32)
-        lens = np.fromiter((len(t) for t in texts), dtype=np.int64, count=n)
-        offsets = np.concatenate([[0], np.cumsum(lens + 1)])  # +1 separator
-        doc_of = np.searchsorted(offsets[1:], np.arange(len(cps)), side="right")
+    if bt is None:
+        # the fused stage passes the QualityStats BatchTokens; a standalone
+        # Scrubber builds its own (same '\n' join, errors="replace" encode
+        # — a lone surrogate gates as '?' noise instead of raising)
+        bt = BatchTokens(texts)
+    cps = bt.cps
+    doc_of = bt.doc_of_char()
 
     at_mask = cps == np.uint32(64)  # '@'
     has_at = np.zeros(n, dtype=bool)

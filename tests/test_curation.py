@@ -3147,3 +3147,13 @@ def test_rolling_active_users_window_and_dedup(ray_session, tmp_path):
     # day-8 window is [day 2, day 8]: user 1 (day 8) AND user 2 (day 3)
     assert int(out[day + pd.Timedelta("8D")]) == 2
     assert len(out) == 3                                    # only observed days
+
+
+def test_weighted_sample_local_top_k_breaks_ties_by_doc_id():
+    """The per-batch prefilter keeps the first k rows in (es_key DESC,
+    doc_id ASC) order — the final sort's and the oracle's order — when equal
+    keys straddle the cut."""
+    ids = np.array([11, 9, 5, 7, 3, 1], dtype=np.int64)
+    key = np.array([-1.0, -1.0, 0.5, -1.0, -1.0, -2.0])
+    top = analysis._es_local_top_k(ids, key, 3)
+    assert ids[top].tolist() == [5, 3, 7]

@@ -202,3 +202,20 @@ def test_registry_reports_only_importable(monkeypatch):
     assert set(got) == {"langdetect", "fasttext"}
     assert isinstance(got["langdetect"], LangdetectDetector)
     assert isinstance(got["fasttext"], FastTextDetector)
+
+
+def test_registry_warns_when_an_installed_detector_fails_to_load(monkeypatch, caplog):
+    # a missing or corrupt model file (OSError) must not narrow the panel
+    # silently; a missing wheel (ImportError) stays silent
+    def broken(self, model_path=None):
+        raise OSError("langid_ft_mini.bin: truncated")
+
+    monkeypatch.setattr(FastTextDetector, "__init__", broken)
+    for absent in ("langid", "langid.langid", "langdetect", "pycld2", "nltk", "nltk.classify", "nltk.classify.textcat"):
+        monkeypatch.setitem(sys.modules, absent, None)  # force ImportError
+    with caplog.at_level("WARNING", logger="language_identification_ray.stages.external_detectors"):
+        got = available_external_detectors()
+    assert "fasttext" not in got
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warned) == 1
+    assert "fasttext" in warned[0] and "OSError" in warned[0] and "truncated" in warned[0]

@@ -110,10 +110,10 @@ def test_word_ids_exact_dictionary_encoding(texts):
         assert bt.joined[s : s + l] == w
 
 
-def test_word_ids_long_shared_prefix_fallback():
-    """Words sharing their first 64 codepoints (the hash window) but differing
-    later must still get distinct ids — exercises the verify+dict-resplit
-    collision path."""
+def test_word_ids_long_shared_prefix_distinct():
+    """Words sharing a 70-codepoint prefix but differing later get distinct
+    ids, and repeats of each share one id — the encoder compares whole words,
+    not a bounded prefix."""
     base = "x" * 70
     a, b, c = base + "aaa", base + "bbb", base + "aaa"
     bt = BatchTokens([f"{a} {b} {c} {a}"])
@@ -184,22 +184,15 @@ def test_loglik_batch_bit_identical_to_score_doc(texts):
         assert np.array_equal(ll[d], det._score_doc(t[:SCORE_MAX_CHARS]))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.text(max_size=150), max_size=5))
-def test_lm_prep_arrays_match_per_doc_path(texts):
-    """The batch-level LM score-array builder must produce EXACTLY the
-    (w0, w1, w2, doc) arrays the per-document lm_sentences + padding loop
-    yields, in the same order (the bincount fold then matches bit-for-bit)."""
+def _per_doc_score_arrays(model, texts):
+    """(w0, w1, w2, doc) built per document through lm_sentences + padding —
+    the construction the batch-level LM prep must reproduce exactly."""
     import numpy as np
 
     from language_identification_ray.functions.kneser_ney import BOS, EOS, lm_sentences
-    from language_identification_ray.stages.perplexity import PerplexityScorer
 
-    model = PerplexityScorer().model
-    model._build_index()
     tid = model._idx["tid"]
     bos, eos = tid[BOS], tid[EOS]
-
     ids, doc_of, valid = [], [], []
     for d, text in enumerate(texts):
         for toks in lm_sentences(text or ""):
@@ -210,27 +203,49 @@ def test_lm_prep_arrays_match_per_doc_path(texts):
     I = np.asarray(ids, np.int64)
     D = np.asarray(doc_of, np.int64)
     pos = np.flatnonzero(np.asarray(valid, bool))
-    expected = (
-        (I[pos - 2], I[pos - 1], I[pos], D[pos])
-        if len(ids)
-        else tuple(np.empty(0, np.int64) for _ in range(4))
-    )
-    got = model._prep_score_arrays(texts, tid, bos, eos)
-    assert got is not None
-    for a, b in zip(expected, got):
-        assert np.array_equal(a, b)
+    if not len(ids):
+        return tuple(np.empty(0, np.int64) for _ in range(4))
+    return I[pos - 2], I[pos - 1], I[pos], D[pos]
 
 
-def test_lm_prep_surrogate_fallback():
-    """Lone surrogates (surrogateescape-decoded bytes) must route to the
-    per-doc path, not crash or silently change tokenization."""
+def _assert_lm_prep_matches_per_doc(texts):
+    import numpy as np
+
     from language_identification_ray.functions.kneser_ney import BOS, EOS
     from language_identification_ray.stages.perplexity import PerplexityScorer
 
     model = PerplexityScorer().model
     model._build_index()
     tid = model._idx["tid"]
-    assert model._prep_score_arrays(["caf\udce9"], tid, tid[BOS], tid[EOS]) is None
+    got = model._prep_score_arrays(texts, tid, tid[BOS], tid[EOS])
+    expected = _per_doc_score_arrays(model, texts)
+    assert len(got) == 4
+    for a, b in zip(expected, got):
+        assert np.array_equal(a, b)
+    return model
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.text(st.characters(blacklist_categories=()), max_size=150), max_size=5
+    )
+)
+def test_lm_prep_arrays_match_per_doc_path(texts):
+    """The batch-level LM score-array builder must produce EXACTLY the
+    (w0, w1, w2, doc) arrays the per-document lm_sentences + padding loop
+    yields, in the same order (the bincount fold then matches bit-for-bit).
+    The alphabet includes lone surrogates (category Cs)."""
+    _assert_lm_prep_matches_per_doc(texts)
+
+
+def test_lm_prep_surrogates_match_per_doc_path():
+    """Lone surrogates (surrogateescape-decoded bytes) are boundaries on the
+    batch path, exactly as lm_sentences drops them — no crash, no change in
+    tokenization, and the documents are still scored."""
+    model = _assert_lm_prep_matches_per_doc(
+        ["caf\udce9", "caf\udce9 test. ok", "\ud83d\ude00x \udfff-y' z"]
+    )
     ppl = model.perplexity_batch(["caf\udce9 test. ok", "plain text here."])
     assert all(p == p for p in ppl)  # scored, not NaN
 
