@@ -21,9 +21,22 @@ public format/algorithm description:
 - dictionary prune remapping (``.ftz`` files ship a pruned bucket space);
 - product-quantizer decode (per-subspace uint8 codes × 256 centroids,
   optional per-row norm quantizer) for quantized matrices;
-- prediction for softmax AND hierarchical-softmax losses (the Huffman
-  tree is rebuilt from the stored label counts exactly like training
-  did), with fastText's ``log(x + 1e-5)`` score smoothing.
+- prediction for softmax, one-vs-all/negative-sampling AND
+  hierarchical-softmax losses (the Huffman tree is rebuilt from the stored
+  label counts exactly like training did), with fastText's
+  ``log(x + 1e-5)`` score smoothing.
+
+Inference is batch-only: :meth:`FastTextModel.log_probs` splits a batch
+once, and featurizes each distinct token once per model instance — FNV-1a
+and the n-gram enumeration run as numpy array ops over all new tokens of
+the batch, and the token's input rows are summed once and memoized
+(``_TokenMemo``, at most ``_MEMO_CAP`` tokens, cleared whole when full).
+A text's hidden vector is the sum of its tokens' row sums plus its word
+n-gram rows, over its id count; all labels are scored at once by a
+fixed-order reduction (no BLAS GEMM), so a text's scores do not depend on
+the batch it came in.  ``predict`` and ``input_ids`` are one-row calls
+into the same code.  The memo depends on the matrices, so it is built at
+the first prediction; the matrices are read-only from then on.
 
 Writing supports dense (non-quantized) models, which is what the in-repo
 trainer (``scripts/train_fasttext_model.py``) emits — a real fastText
@@ -33,8 +46,9 @@ binary would load the produced file.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import chain, repeat
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +61,6 @@ LOSS_HS, LOSS_NS, LOSS_SOFTMAX, LOSS_OVA = 1, 2, 3, 4
 MODEL_CBOW, MODEL_SG, MODEL_SUP = 1, 2, 3
 _KSUB = 256  # fastText product quantizer: 256 centroids per subspace
 _LOG_EPS = 1e-5  # fastText std_log(x) = log(x + 1e-5)
-_DELIMS = b" \n\t\v\f\r\x00"
 
 _ARG_NAMES = (
     "dim", "ws", "epoch", "min_count", "neg", "word_ngrams", "loss",
@@ -55,39 +68,93 @@ _ARG_NAMES = (
 )
 
 
+_FNV_OFFSET = np.uint32(2166136261)
+_FNV_PRIME = np.uint32(16777619)
+_NGRAM_MUL = np.uint64(116049371)
+_LABEL_PREFIX = b"__label__"
+# distinct tokens memoized per model; the memo is cleared whole when full
+_MEMO_CAP = 1 << 18
+# new tokens featurized together: bounds the transient arrays of a miss
+_FEATURIZE_CHUNK = 1024
+
+
+def _fnv1a(sbytes: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """uint32 FNV-1a of every span ``sbytes[starts[i]:starts[i] + lens[i]]``.
+
+    ``sbytes`` holds the bytes already sign-extended to uint32 (fastText
+    reads each byte as int8 before the xor).  Spans run longest first, so
+    the spans still hashing at byte ``k`` are a prefix of that order."""
+    order = np.argsort(-lens, kind="stable")
+    s, ln = starts[order], lens[order]
+    h = np.full(len(s), _FNV_OFFSET, dtype=np.uint32)
+    neg = -ln
+    for k in range(int(ln[0]) if len(ln) else 0):
+        a = int(np.searchsorted(neg, -k, side="left"))  # spans with len > k
+        h[:a] = (h[:a] ^ sbytes[s[:a] + k]) * _FNV_PRIME
+    out = np.empty_like(h)
+    out[order] = h
+    return out
+
+
+def _sign_extended(buf: bytes) -> np.ndarray:
+    return np.frombuffer(buf, dtype=np.int8).astype(np.uint32)
+
+
+def _token_hashes(tokens: Sequence[bytes]) -> np.ndarray:
+    """ft_hash of each token, as uint32."""
+    lens = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    starts = np.concatenate([[0], np.cumsum(lens)[:-1]]).astype(np.int64)
+    return _fnv1a(_sign_extended(b"".join(tokens)), starts, lens)
+
+
+def _subword_hashes(words: Sequence[bytes], minn: int,
+                    maxn: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Raw subword hashes of every (already BOW/EOW-wrapped) word at once:
+    UTF-8-aware char n-grams, n in [minn, maxn], skipping the lone
+    whole-1-gram at either boundary.  Returns (uint32 hashes, owning word
+    index), word by word, each word's n-grams ordered by char start then n."""
+    buf = b"".join(words)
+    u8 = np.frombuffer(buf, dtype=np.uint8)
+    wlen = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    wend = np.cumsum(wlen)
+    cs = np.flatnonzero((u8 & 0xC0) != 0x80)  # char starts
+    bound = np.append(cs, len(u8))
+    owner = np.searchsorted(wend, cs, side="right")
+    last = np.cumsum(np.bincount(owner, minlength=len(words))) - 1
+    nc = len(cs)
+    left = last[owner] - np.arange(nc) + 1  # chars from here to word end
+    first = cs == (wend - wlen)[owner]
+    # every (char start, n) pair in compute_subwords order: start-major
+    g = np.repeat(np.arange(nc), maxn)
+    n = np.tile(np.arange(1, maxn + 1), nc)
+    keep = (n <= left[g]) & (n >= minn) & ~((n == 1) & (first[g] | (left[g] == 1)))
+    g, n = g[keep], n[keep]
+    starts = cs[g]
+    h = _fnv1a(_sign_extended(buf), starts, bound[g + n] - starts)
+    return h, owner[g]
+
+
 def ft_hash(data: bytes) -> int:
     """fastText's FNV-1a with the signed-char sign-extension quirk:
     each byte is read as int8, then converted to uint32."""
-    h = 2166136261
-    for b in data:
-        if b >= 128:
-            b -= 256  # int8 view
-        h = (h ^ (b & 0xFFFFFFFF)) & 0xFFFFFFFF
-        h = (h * 16777619) & 0xFFFFFFFF
-    return h
+    return int(_token_hashes([data])[0])
 
 
 def compute_subwords(word: bytes, minn: int, maxn: int) -> List[int]:
     """Raw (pre-prune, pre-bucket-offset) subword hashes of ``word``
     (already BOW/EOW-wrapped): UTF-8-aware char n-grams, n in
     [minn, maxn], skipping the lone whole-1-gram at either boundary."""
-    out: List[int] = []
-    nbytes = len(word)
-    for i in range(nbytes):
-        if (word[i] & 0xC0) == 0x80:
-            continue  # continuation byte: not a char start
-        j, n = i, 1
-        ngram = bytearray()
-        while j < nbytes and n <= maxn:
-            ngram.append(word[j])
-            j += 1
-            while j < nbytes and (word[j] & 0xC0) == 0x80:
-                ngram.append(word[j])
-                j += 1
-            if n >= minn and not (n == 1 and (i == 0 or j == nbytes)):
-                out.append(ft_hash(bytes(ngram)))
-            n += 1
-    return out
+    return _subword_hashes([word], minn, maxn)[0].tolist()
+
+
+def _tokens(text: str) -> List[bytes]:
+    """fastText's getLine split: ASCII whitespace and NUL, then EOS."""
+    raw = text.encode("utf-8", "replace")
+    if b"\x00" in raw:
+        raw = raw.replace(b"\x00", b" ")
+    toks = raw.split()
+    toks.append(EOS)
+    return toks
 
 
 @dataclass
@@ -186,8 +253,77 @@ def _load_matrix(f, quant: bool):
                         lastdsub, norms, nflat, ncodes)
 
 
+class _TokenTable(NamedTuple):
+    """Features of distinct tokens; the last axis runs over tokens."""
+
+    rowsum: np.ndarray  # (dim, m) float64: sum of the token's input rows
+    count: np.ndarray   # int64: number of those rows
+    hash: np.ndarray    # int64: ft_hash as int32, sign-extended (word n-grams)
+    kept: np.ndarray    # bool: False for label tokens, which getLine skips
+
+
+class _TokenMemo:
+    """Distinct tokens seen by one model: a slot per token into a
+    :class:`_TokenTable`.  Holds at most ``_MEMO_CAP`` tokens; a batch
+    whose new tokens would pass the cap clears it first, and a batch with
+    more distinct tokens than the cap is scored without memoizing."""
+
+    def __init__(self):
+        self.slot: Dict[bytes, int] = {}
+        self.table: Optional[_TokenTable] = None
+
+    def lookup(self, tokens: List[bytes],
+               compute) -> Tuple[_TokenTable, np.ndarray]:
+        """(table, row of each token in it); ``compute(distinct tokens)``
+        builds the rows of tokens not memoized yet."""
+        slots = np.fromiter(map(self.slot.get, tokens, repeat(-1)),
+                            dtype=np.int64, count=len(tokens))
+        miss = np.flatnonzero(slots < 0)
+        if not len(miss):
+            return self.table, slots
+        missed = [tokens[i] for i in miss]
+        new = list(dict.fromkeys(missed))
+        if len(self.slot) + len(new) > _MEMO_CAP:
+            self.slot = {}
+            miss, missed = np.arange(len(tokens)), tokens
+            new = list(dict.fromkeys(tokens))
+        rows = compute(new)
+        if len(new) > _MEMO_CAP:
+            local = dict(zip(new, range(len(new))))
+            return rows, np.fromiter(map(local.__getitem__, tokens),
+                                     dtype=np.int64, count=len(tokens))
+        base = len(self.slot)
+        self._store(base, rows)
+        self.slot.update(zip(new, range(base, base + len(new))))
+        slots[miss] = np.fromiter(map(self.slot.__getitem__, missed),
+                                  dtype=np.int64, count=len(missed))
+        return self.table, slots
+
+    def _store(self, base: int, rows: _TokenTable) -> None:
+        end = base + len(rows.count)
+        have = 0 if self.table is None else len(self.table.count)
+        if end > have:
+            size = min(max(end, 2 * have, 4096), _MEMO_CAP)
+            grown = _TokenTable(*(np.zeros(a.shape[:-1] + (size,), a.dtype)
+                                  for a in rows))
+            if self.table is not None:
+                for old, new in zip(self.table, grown):
+                    new[..., :base] = old[..., :base]
+            self.table = grown
+        for dst, src in zip(self.table, rows):
+            dst[..., base:end] = src
+
+
 class FastTextModel:
-    """A loaded fastText supervised model, ready for numpy prediction."""
+    """A loaded fastText supervised model, ready for numpy prediction.
+
+    Inference has one path, :meth:`log_probs`, which scores a whole batch;
+    :meth:`predict` is a one-row call into it.  Each distinct token is
+    featurized once per model instance and memoized (at most ``_MEMO_CAP``
+    tokens, cleared whole when full).  The memo and the decoded output
+    matrix are built lazily at the first prediction, so the input and
+    output matrices are read-only from then on: train first, predict
+    after."""
 
     def __init__(self, args: FastTextArgs,
                  words: List[Tuple[bytes, int, int]],
@@ -206,103 +342,120 @@ class FastTextModel:
             w.decode("utf-8", "replace").replace("__label__", "")
             for w, _, _ in words[nwords:]
         ]
-        self._sub_cache: Dict[int, np.ndarray] = {}
-        self._oov_cache: Dict[bytes, np.ndarray] = {}
-        self._hs_paths = None
-        if args.loss == LOSS_HS:
-            self._hs_paths = self._build_hs_paths()
+        keys = sorted(self.pruneidx)
+        self._prune_keys = np.asarray(keys, dtype=np.int64)
+        self._prune_vals = np.asarray([self.pruneidx[k] for k in keys],
+                                      dtype=np.int64)
+        self._hs = self._build_hs_paths() if args.loss == LOSS_HS else None
+        self._memo: Optional[_TokenMemo] = None
+        self._out_t: Optional[np.ndarray] = None
 
-    # -- dictionary / feature extraction ----------------------------------
+    # -- feature extraction -------------------------------------------------
 
-    def _push_hash(self, out: List[int], hid: int) -> None:
-        if self.pruneidx_size == 0:
-            return
-        if self.pruneidx_size > 0:
-            hid = self.pruneidx.get(hid, -1)
-            if hid < 0:
-                return
-        out.append(self.nwords + hid)
+    def _bucket_rows(self, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """fastText's pushHash: hash → bucket → (pruned) input row.
+        Returns (rows, mask of the hashes that survive pruning)."""
+        b = (h.astype(np.uint64) % np.uint64(self.args.bucket)).astype(np.int64)
+        if self.pruneidx_size < 0:
+            return b + self.nwords, np.ones(len(b), dtype=bool)
+        keys = self._prune_keys
+        if self.pruneidx_size == 0 or not len(keys):
+            return b, np.zeros(len(b), dtype=bool)
+        pos = np.minimum(np.searchsorted(keys, b), len(keys) - 1)
+        return self._prune_vals[pos] + self.nwords, keys[pos] == b
 
-    def _subword_ids(self, wid: int) -> np.ndarray:
-        """In-vocab word: [wid] + its (pruned, offset) subword ids."""
-        cached = self._sub_cache.get(wid)
-        if cached is not None:
-            return cached
-        word = self.words[wid][0]
-        ids = [wid]
-        if self.args.maxn > 0 and word != EOS:
-            for h in compute_subwords(BOW + word + EOW,
-                                      self.args.minn, self.args.maxn):
-                self._push_hash(ids, h % self.args.bucket)
-        arr = np.asarray(ids, dtype=np.int64)
-        self._sub_cache[wid] = arr
-        return arr
+    def _token_ids(self, tokens: Sequence[bytes]
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Input rows of tokens, as supervised getLine emits them:
+        an in-vocab word gives its word id then its (pruned, offset)
+        subword ids, an out-of-vocabulary token its subword ids only, a
+        label token nothing.  Returns (ids, per-token offsets into them,
+        kept mask)."""
+        n = len(tokens)
+        wid = np.fromiter(map(self.word2id.get, tokens, repeat(-1)),
+                          dtype=np.int64, count=n)
+        kept = ~np.fromiter(
+            (self.words[w][2] == 1 if w >= 0 else t.startswith(_LABEL_PREFIX)
+             for w, t in zip(wid.tolist(), tokens)), dtype=bool, count=n)
+        owner = [np.flatnonzero(kept & (wid >= 0))]
+        ids = [wid[owner[0]]]
+        if self.args.maxn > 0:
+            sub = np.flatnonzero(kept & np.fromiter(
+                (t != EOS for t in tokens), dtype=bool, count=n))
+            h, word = _subword_hashes([BOW + tokens[i] + EOW for i in sub],
+                                      self.args.minn, self.args.maxn)
+            rows, ok = self._bucket_rows(h)
+            owner.append(sub[word[ok]])
+            ids.append(rows[ok])
+        owner, ids = np.concatenate(owner), np.concatenate(ids)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=n), out=offsets[1:])
+        return ids[np.argsort(owner, kind="stable")], offsets, kept
 
-    def _oov_ids(self, token: bytes) -> np.ndarray:
-        cached = self._oov_cache.get(token)
-        if cached is not None:
-            return cached
-        ids: List[int] = []
-        if self.args.maxn > 0 and token != EOS:
-            for h in compute_subwords(BOW + token + EOW,
-                                      self.args.minn, self.args.maxn):
-                self._push_hash(ids, h % self.args.bucket)
-        arr = np.asarray(ids, dtype=np.int64)
-        if len(self._oov_cache) < 65536:
-            self._oov_cache[token] = arr
-        return arr
+    def _ngram_rows(self, hashes: np.ndarray,
+                    doc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Word n-gram input rows over the kept tokens of each document:
+        ``hashes`` are their ft_hash values as sign-extended int64
+        (fastText keeps int32 and widens to uint64), ``doc`` their sorted
+        document index.  Returns (rows, document of each), in getLine
+        order within a document."""
+        h = hashes.view(np.uint64)
+        t = len(h)
+        acc = h.copy()
+        grams, valid = [], []
+        for s in range(1, self.args.word_ngrams):
+            nxt = np.zeros(t, dtype=np.uint64)
+            nxt[:t - s] = h[s:]
+            acc = acc * _NGRAM_MUL + nxt
+            ok = np.zeros(t, dtype=bool)
+            ok[:t - s] = doc[s:] == doc[:t - s]
+            grams.append(acc)
+            valid.append(ok)
+        valid = np.stack(valid, axis=1)
+        rows, ok = self._bucket_rows(np.stack(grams, axis=1)[valid])
+        return rows[ok], doc[np.nonzero(valid)[0]][ok]
+
+    def _token_table(self, tokens: List[bytes]) -> _TokenTable:
+        """Memo rows of distinct tokens (see :class:`_TokenTable`), built
+        ``_FEATURIZE_CHUNK`` tokens at a time."""
+        parts = [self._token_rows(tokens[i:i + _FEATURIZE_CHUNK])
+                 for i in range(0, len(tokens), _FEATURIZE_CHUNK)]
+        return _TokenTable(*(np.concatenate(a, axis=-1) for a in zip(*parts)))
+
+    def _token_rows(self, tokens: List[bytes]) -> _TokenTable:
+        ids, offsets, kept = self._token_ids(tokens)
+        count = np.diff(offsets)
+        rowsum = np.zeros((self.input.n, len(tokens)), dtype=np.float64)
+        nz = np.flatnonzero(count)
+        if len(nz):
+            rows = np.ascontiguousarray(self.input.rows(ids).T, dtype=np.float64)
+            rowsum[:, nz] = np.add.reduceat(rows, offsets[nz], axis=1)
+        if self.args.word_ngrams > 1:
+            hashes = _token_hashes(tokens).view(np.int32).astype(np.int64)
+        else:
+            hashes = np.zeros(len(tokens), dtype=np.int64)
+        return _TokenTable(rowsum, count, hashes, kept)
 
     def input_ids(self, text: str) -> np.ndarray:
-        """Token stream -> input-matrix row ids, exactly like supervised
-        getLine: vocab words expand to word+subwords, OOV words to
-        subwords only, word-ngram hashes appended last (with the
-        int32→uint64 sign-extension quirk)."""
-        raw = text.encode("utf-8", "replace")
-        # fastText splits on space/\n/\t/\v/\f/\r/\0; bytes.split() covers
-        # the ASCII-whitespace six, NUL is split out separately
-        tokens = [t for t in raw.split() if t]
-        if b"\x00" in raw:
-            tokens = [p for t in tokens for p in t.split(b"\x00") if p]
-        tokens.append(EOS)
-        parts: List[np.ndarray] = []
-        hashes: List[int] = []
-        for tok in tokens:
-            wid = self.word2id.get(tok, -1)
-            is_label = (tok.startswith(b"__label__") if wid < 0
-                        else self.words[wid][2] == 1)
-            if is_label:
-                continue
-            if wid >= 0:
-                if self.args.maxn <= 0:
-                    parts.append(np.asarray([wid], dtype=np.int64))
-                else:
-                    parts.append(self._subword_ids(wid))
-            else:
-                parts.append(self._oov_ids(tok))
-            hashes.append(ft_hash(tok))
-        if self.args.word_ngrams > 1:
-            ng: List[int] = []
-            # hashes are stored as int32 in fastText, then widened to
-            # uint64 WITH sign extension before the rolling multiply
-            h32 = [h - (1 << 32) if h >= (1 << 31) else h for h in hashes]
-            for i in range(len(h32)):
-                h = h32[i] & 0xFFFFFFFFFFFFFFFF
-                for j in range(i + 1, min(i + self.args.word_ngrams, len(h32))):
-                    h = (h * 116049371 + (h32[j] & 0xFFFFFFFFFFFFFFFF)) \
-                        & 0xFFFFFFFFFFFFFFFF
-                    self._push_hash(ng, h % self.args.bucket)
-            if ng:
-                parts.append(np.asarray(ng, dtype=np.int64))
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        """Input-matrix row ids of ``text``, exactly like supervised
+        getLine: each token's ids (see ``_token_ids``) in token order,
+        then the word n-gram ids."""
+        toks = _tokens(text)
+        ids, _, kept = self._token_ids(toks)
+        if self.args.word_ngrams == 1:
+            return ids
+        words = [t for t, k in zip(toks, kept) if k]
+        hashes = _token_hashes(words).view(np.int32).astype(np.int64)
+        return np.concatenate([ids, self._ngram_rows(hashes, np.zeros(len(words), np.int64))[0]])
 
     # -- prediction --------------------------------------------------------
 
-    def _build_hs_paths(self):
+    def _build_hs_paths(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rebuild the Huffman tree from stored label counts (same
-        construction as training) and flatten each leaf's root path into
-        (row-index array, sign array) for vectorized scoring."""
+        construction as training) and pad each leaf's root path into
+        (nlabels, depth) matrices: internal-node output row, whether the
+        step takes the sigmoid (binary child) or its complement, and
+        whether the step exists."""
         counts = [c for _, c, t in self.words[self.nwords:]]
         osz = self.nlabels
         parent = [-1] * (2 * osz - 1)
@@ -324,68 +477,108 @@ class FastTextModel:
             binary[mini[1]] = True
         paths = []
         for lbl in range(osz):
-            rows, signs = [], []
+            steps = []
             n = lbl
             while parent[n] != -1:
-                p = parent[n]
-                rows.append(p - osz)  # internal node -> output row
-                signs.append(1.0 if binary[n] else -1.0)
-                n = p
-            paths.append((np.asarray(rows, dtype=np.int64),
-                          np.asarray(signs, dtype=np.float32)))
-        return paths
+                steps.append((parent[n] - osz, binary[n]))
+                n = parent[n]
+            paths.append(steps)
+        depth = max((len(p) for p in paths), default=0)
+        rows = np.zeros((osz, depth), dtype=np.int64)
+        pos = np.zeros((osz, depth), dtype=bool)
+        valid = np.zeros((osz, depth), dtype=bool)
+        for lbl, steps in enumerate(paths):
+            for k, (row, is_binary) in enumerate(steps):
+                rows[lbl, k], pos[lbl, k], valid[lbl, k] = row, is_binary, True
+        return rows, pos, valid
 
-    def hidden(self, text: str) -> Optional[np.ndarray]:
-        ids = self.input_ids(text)
-        if len(ids) == 0:
-            return None
-        rows = self.input.rows(ids)
-        return (rows.sum(axis=0, dtype=np.float32)
-                * np.float32(1.0 / len(ids)))
-
-    def label_log_probs(self, text: str) -> Optional[np.ndarray]:
-        """Full per-label log-probability vector (fastText's smoothed
-        scores: softmax -> log(p + 1e-5); hs -> sum of log(σ(±f)+1e-5))."""
-        h = self.hidden(text)
-        if h is None:
-            return None
-        if self.args.loss == LOSS_HS:
-            nint = self.nlabels - 1
-            f = self.output.rows(np.arange(nint)) @ h  # internal-node dots
-            sig = 1.0 / (1.0 + np.exp(-f.astype(np.float64)))
-            out = np.empty(self.nlabels, dtype=np.float64)
-            for lbl, (rows, signs) in enumerate(self._hs_paths):
-                p = np.where(signs > 0, sig[rows], 1.0 - sig[rows])
-                out[lbl] = np.log(p.astype(np.float64) + _LOG_EPS).sum()
+    def _scores(self, hidden: np.ndarray) -> np.ndarray:
+        """Smoothed log-probabilities (n, nlabels) of hidden vectors
+        (dim, n).  The dot products add one hidden dimension at a time (no
+        BLAS GEMM, whose blocking depends on the row count), so a row's
+        scores do not depend on the batch it came in."""
+        f = hidden[0][:, None] * self._out_t[0]
+        for d in range(1, len(self._out_t)):
+            f += hidden[d][:, None] * self._out_t[d]
+        loss = self.args.loss
+        if loss == LOSS_HS:
+            sig = 1.0 / (1.0 + np.exp(-f))
+            lpos = np.log(sig + _LOG_EPS)
+            lneg = np.log(1.0 - sig + _LOG_EPS)
+            rows, pos, valid = self._hs
+            out = np.zeros((len(f), self.nlabels))
+            for k in range(rows.shape[1]):
+                r = rows[:, k]
+                out += np.where(valid[:, k],
+                                np.where(pos[:, k], lpos[:, r], lneg[:, r]), 0.0)
             return out
-        scores = (self.output.rows(np.arange(self.nlabels)) @ h).astype(np.float64)
-        if self.args.loss == LOSS_SOFTMAX:
-            scores -= scores.max()
-            p = np.exp(scores)
-            p /= p.sum()
+        if loss == LOSS_SOFTMAX:
+            f -= f.max(axis=1, keepdims=True)
+            p = np.exp(f)
+            p /= p.sum(axis=1, keepdims=True)
             return np.log(p + _LOG_EPS)
-        if self.args.loss in (LOSS_OVA, LOSS_NS):
+        if loss in (LOSS_OVA, LOSS_NS):
             # both inherit fastText's BinaryLogisticLoss::computeOutput:
             # independent per-label sigmoids, no normalization
-            return np.log(1.0 / (1.0 + np.exp(-scores)) + _LOG_EPS)
-        raise ValueError(f"unsupported loss {self.args.loss}")
+            return np.log(1.0 / (1.0 + np.exp(-f)) + _LOG_EPS)
+        raise ValueError(f"unsupported loss {loss}")
+
+    def log_probs(self, texts: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+        """fastText's smoothed per-label log-probabilities of every text
+        (softmax → log(p + 1e-5); hs → Σ log(σ(±f) + 1e-5); ova/ns →
+        log(σ(f) + 1e-5)), float64 (n, nlabels), and a mask of the texts
+        with any input row (the others have no prediction).
+
+        Texts are split once; each token's input rows are summed once per
+        model (see :class:`_TokenMemo`); a text's hidden vector is the sum
+        of its tokens' row sums in token order, plus its word n-gram rows,
+        over its id count."""
+        n = len(texts)
+        if self._memo is None:
+            m = self.nlabels - 1 if self.args.loss == LOSS_HS else self.nlabels
+            rows = self.output.rows(np.arange(m)).astype(np.float64)
+            self._out_t = np.ascontiguousarray(rows.T)
+            self._memo = _TokenMemo()
+        if not n:
+            return np.zeros((0, self.nlabels)), np.zeros(0, dtype=bool)
+        toks = [_tokens(t) for t in texts]
+        ntok = np.fromiter(map(len, toks), dtype=np.int64, count=n)
+        table, at = self._memo.lookup(list(chain.from_iterable(toks)),
+                                      self._token_table)
+        starts = np.zeros(n, dtype=np.int64)
+        np.cumsum(ntok[:-1], out=starts[1:])
+        # every text has at least EOS, so no segment is empty
+        hidden = np.stack([np.add.reduceat(r[at], starts) for r in table.rowsum])
+        count = np.add.reduceat(table.count[at], starts)
+        if self.args.word_ngrams > 1:
+            kept = table.kept[at]
+            doc = np.repeat(np.arange(n), ntok)[kept]
+            rows, ng_doc = self._ngram_rows(table.hash[at][kept], doc)
+            np.add.at(hidden.T, ng_doc, self.input.rows(rows).astype(np.float64))
+            count += np.bincount(ng_doc, minlength=n)
+        hidden /= np.maximum(count, 1)
+        return self._scores(hidden), count > 0
+
+    def ranking(self, lp: np.ndarray, k: int = -1,
+                threshold: float = 0.0) -> List[Tuple[str, float]]:
+        """Top-``k`` (label, prob) of one row of :meth:`log_probs`, sorted
+        descending (all labels when ``k < 0``)."""
+        order = np.argsort(-lp, kind="stable")
+        p = np.exp(lp)
+        out = []
+        for i in order[: (len(lp) if k < 0 else k)]:
+            if p[i] < threshold:
+                break
+            out.append((self.labels[i], float(p[i])))
+        return out
 
     def predict(self, text: str, k: int = 1,
                 threshold: float = 0.0) -> List[Tuple[str, float]]:
         """Top-``k`` (label, prob) like fasttext's ``model.predict`` (sans
         the ``__label__`` prefix); empty list when no token maps to any
         input row (the wheel's behavior for unknown-charset text)."""
-        lp = self.label_log_probs(text)
-        if lp is None:
-            return []
-        order = np.argsort(-lp, kind="stable")
-        out = []
-        for i in order[: (len(lp) if k < 0 else k)]:
-            p = float(np.exp(lp[i]))
-            if p < threshold:
-                break
-            out.append((self.labels[i], p))
-        return out
+        lp, has = self.log_probs([text])
+        return self.ranking(lp[0], k, threshold) if has[0] else []
 
     # -- serialization -----------------------------------------------------
 

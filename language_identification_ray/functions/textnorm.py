@@ -18,7 +18,6 @@ from typing import Iterable, Optional, Tuple, Union
 
 RE_WHITESPACE = re.compile(r"\s", flags=re.U)
 RE_NUMBERS = re.compile(r"\b\d+\b", flags=re.U)
-RE_MULTISPACE = re.compile(r"\s+", flags=re.U)
 
 # Reference guardrail: documents larger than this are truncated before any UDF
 # (reference ``preprocessing.py:13``).
@@ -157,8 +156,8 @@ def clean_text(text: Union[str, bytes]) -> str:
     numbers, collapse whitespace."""
     text = ensure_unicode(text)
     text = RE_NUMBERS.sub("", text)
-    text = RE_MULTISPACE.sub(" ", text).strip()
-    return text
+    # str.split() splits on exactly the characters re's Unicode \s matches
+    return " ".join(text.split())
 
 
 def truncate_text(

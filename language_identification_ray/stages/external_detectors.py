@@ -28,6 +28,8 @@ from __future__ import annotations
 import logging
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 Ranking = List[Tuple[str, float]]
 
 _log = logging.getLogger(__name__)
@@ -91,7 +93,13 @@ class FastTextDetector(_ExternalBase):
     ``.ftz``, softmax and hierarchical-softmax losses), so the REAL
     lid.176 model runs here wheel-free; the wheel, when installed, is
     preferred for its C++ speed.  Default model:
-    :func:`_default_ft_model_path`."""
+    :func:`_default_ft_model_path`.
+
+    Without the wheel, ``predict_batch`` and ``top1_batch`` score the whole
+    batch in one :meth:`FastTextModel.log_probs` call, which memoizes each
+    distinct token's features for the life of the detector (bounded, see
+    ``fasttext_format._MEMO_CAP``); the model matrices are read-only from
+    the first prediction on."""
 
     def __init__(self, model_path: Optional[str] = None):
         model_path = model_path or _default_ft_model_path()
@@ -115,15 +123,51 @@ class FastTextDetector(_ExternalBase):
 
     def _rank(self, text: str) -> Ranking:
         text = text.replace("\n", " ")
-        k = len(self.SUPPORTED_LANGUAGES)
+        labels, probs = self._native.predict(text, k=len(self.SUPPORTED_LANGUAGES))
+        pairs = [
+            (l.replace("__label__", ""), float(p))
+            for l, p in zip(labels, probs)
+        ]
+        return sorted(pairs, key=lambda x: -x[1])
+
+    def _log_probs(self, texts: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+        """(log-prob matrix, has-prediction mask) of the cleaned texts; an
+        empty cleaned text has no prediction, as in ``_ExternalBase``."""
+        from language_identification_ray.functions.textnorm import clean_text
+
+        cleaned = [clean_text(t or "") for t in texts]
+        lp, has = self._pure.log_probs(cleaned)
+        has &= np.fromiter(map(bool, cleaned), dtype=bool, count=len(cleaned))
+        return lp, has
+
+    def predict_batch(
+        self, texts: Sequence[str], language_codes: Optional[Iterable[str]] = None
+    ) -> List[Ranking]:
         if self._native is not None:
-            labels, probs = self._native.predict(text, k=k)
-            pairs = [
-                (l.replace("__label__", ""), float(p))
-                for l, p in zip(labels, probs)
-            ]
-            return sorted(pairs, key=lambda x: -x[1])
-        return self._pure.predict(text, k=k)
+            return super().predict_batch(texts, language_codes)
+        allowed = set(language_codes) if language_codes else None
+        lp, has = self._log_probs(texts)
+        out = []
+        for d in range(len(texts)):
+            r = self._pure.ranking(lp[d]) if has[d] else []
+            if allowed is not None:
+                r = [(l, p) for l, p in r if l in allowed]
+            out.append(r)
+        return out
+
+    def top1_batch(self, texts: Sequence[str]) -> Tuple[List[str], np.ndarray]:
+        """(langs, confs): the top label and its probability per text,
+        ``("und", 0.0)`` where there is no prediction — the first entry of
+        each ``predict_batch`` ranking, without building the rankings."""
+        if self._native is not None:
+            rankings = self.predict_batch(texts)
+            return ([r[0][0] if r else "und" for r in rankings],
+                    np.array([r[0][1] if r else 0.0 for r in rankings], dtype=np.float64))
+        lp, has = self._log_probs(texts)
+        best = lp.argmax(axis=1)
+        confs = np.where(has, np.exp(lp[np.arange(len(best)), best]), 0.0)
+        labels = self._pure.labels
+        return [labels[b] if h else "und" for b, h in zip(best.tolist(), has.tolist())], confs
 
 
 class LangidPyDetector(_ExternalBase):

@@ -440,6 +440,15 @@ class LangIdStage:
     The detector loads its tables ONCE per actor here in ``__init__`` —
     the Ray analogue of the reference's module-level model singleton
     (``fasttext_wrapper.py:25-33``).
+
+    Without an allowlist, a detector that has ``top1_batch`` (ensemble,
+    fastText) is asked for the top-1 of the whole batch at once, with no
+    per-doc ranking lists.  ``detector="fasttext"`` scores each batch in one
+    ``FastTextModel.log_probs`` call; the model memoizes every distinct
+    token's features for the life of the actor (at most
+    ``fasttext_format._MEMO_CAP`` tokens, cleared whole when full), so later
+    batches featurize only their new tokens.  A document's ``lang`` and
+    ``lang_conf`` do not depend on the batch it came in.
     """
 
     def __init__(
@@ -475,7 +484,7 @@ class LangIdStage:
         if texts is None:
             texts = batch[self.text_column].to_pylist()
         texts = [(t or "")[: self.max_chars] for t in texts]
-        if self.language_codes is None and isinstance(self.detector, EnsembleDetector):
+        if self.language_codes is None and hasattr(self.detector, "top1_batch"):
             # hot path: top-1 only, vectorized (no per-doc ranking lists)
             langs, conf_arr = self.detector.top1_batch(texts)
             confs = pa.array(conf_arr, pa.float64())

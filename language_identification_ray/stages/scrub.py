@@ -102,18 +102,45 @@ class Scrubber:
     def __init__(self, text_column: str = "text", slur_lexicon: Optional[Sequence[str]] = None):
         self.text_column = text_column
         lex = list(slur_lexicon) if slur_lexicon is not None else list(DEFAULT_SLUR_LEXICON)
-        self.re_slur = (
-            re.compile(r"\b(?:" + "|".join(re.escape(w) for w in sorted(lex, key=len, reverse=True)) + r")\b", flags=re.I | re.U)
-            if lex
-            else None
-        )
+        self.re_slur = self.slur_gate = None
+        self.slur_in_tokens = False
+        if lex:
+            alt = "(?:" + "|".join(re.escape(w) for w in sorted(lex, key=len, reverse=True)) + ")"
+            self.re_slur = re.compile(r"\b" + alt + r"\b", flags=re.I | re.U)
+            # the same words without \b: a doc with no gate hit has no slur
+            self.slur_gate = re.compile(alt, flags=re.I | re.U)
+            # the slur pass runs after the email/digit passes, so a match can
+            # also overlap a token they insert: one that contains '<' or '>',
+            # or one inside the token's word
+            self.slur_in_tokens = any("<" in w or ">" in w for w in lex) or any(
+                self.slur_gate.search(t) for t in (EMAIL_TOKEN, PHONE_TOKEN, SSN_TOKEN)
+            )
+
+    def _slur_docs(self, bt: BatchTokens) -> np.ndarray:
+        """bool[n_docs]: docs with a ``slur_gate`` hit, from one search per
+        hit doc over the joined batch (a necessary condition for
+        ``re_slur``, like the ``_scrub_gates`` ones)."""
+        hit = np.zeros(bt.n_docs, dtype=bool)
+        if self.slur_gate is None:
+            return hit
+        joined, offsets, pos = bt.joined, bt.doc_offsets, 0
+        while pos <= len(joined) and (m := self.slur_gate.search(joined, pos)) is not None:
+            d = int(np.searchsorted(offsets, m.start(), side="right")) - 1
+            hit[d] = True
+            pos = int(offsets[d + 1])  # on to the next doc
+        return hit
 
     def scrub_one(
-        self, text: str, try_email: bool = True, try_digits: bool = True, try_repeat: bool = True
+        self,
+        text: str,
+        try_email: bool = True,
+        try_digits: bool = True,
+        try_repeat: bool = True,
+        try_slur: bool = True,
     ) -> tuple[str, int, int, int, int]:
-        """The ``try_*`` flags are gate hints (see ``_scrub_gates``) — a
-        False flag means the corresponding regex cannot match, so skipping
-        it leaves the output byte-identical."""
+        """The ``try_*`` flags are gate hints (see ``_scrub_gates`` and
+        ``_slur_docs``) — a False flag means the corresponding regex cannot
+        match, so skipping it leaves the output byte-identical."""
         emails = phones = ssns = slurs = 0
 
         def _email(m):
@@ -136,7 +163,7 @@ class Scrubber:
         if try_digits:
             text = RE_SSN.sub(_ssn, text)  # SSN before phone: xxx-xx-xxxx ⊄ phone shapes
             text = RE_PHONE.sub(_phone, text)
-        if self.re_slur is not None:
+        if try_slur and self.re_slur is not None:
 
             def _slur(m):
                 nonlocal slurs
@@ -151,11 +178,16 @@ class Scrubber:
     def __call__(self, batch: pa.Table, texts=None, bt=None) -> pa.Table:
         if texts is None:
             texts = [t or "" for t in batch[self.text_column].to_pylist()]
+        if bt is None:
+            bt = BatchTokens(texts)
         has_at, has_digits, has_repeat = _scrub_gates(texts, bt=bt)
+        has_slur = self._slur_docs(bt)
+        if self.slur_in_tokens:
+            has_slur |= has_at | has_digits
         scrubbed, emails, phones, ssns, slurs = [], [], [], [], []
         for d, t in enumerate(texts):
             s, e, p, n, sl = self.scrub_one(
-                t, bool(has_at[d]), bool(has_digits[d]), bool(has_repeat[d])
+                t, bool(has_at[d]), bool(has_digits[d]), bool(has_repeat[d]), bool(has_slur[d])
             )
             scrubbed.append(s)
             emails.append(e)

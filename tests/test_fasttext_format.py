@@ -197,8 +197,8 @@ def test_lid176_parses(lid176):
 def test_lid176_probability_simplex(lid176):
     # hs leaf probabilities form a simplex; the +1e-5 smoothing adds at
     # most 176 * 1e-5 on top
-    lp = lid176.label_log_probs("hello world, how are you today?")
-    total = float(np.exp(lp).sum())
+    lp, _ = lid176.log_probs(["hello world, how are you today?"])
+    total = float(np.exp(lp[0]).sum())
     assert 0.99 <= total <= 1.01
 
 
@@ -267,9 +267,9 @@ def test_random_models_roundtrip(tmp_path):
         np.testing.assert_array_equal(m2.output.data, m.output.data)
         for text in ["the a", "été 中文 łódź", "unseen tokens here", "", "   "]:
             assert m2.predict(text, k=3) == m.predict(text, k=3)
-            lp = m.label_log_probs(text)
-            if lp is not None:  # softmax: smoothed probs ~ simplex
-                total = float(np.exp(lp).sum())
+            lp, has = m.log_probs([text])
+            if has[0]:  # softmax: smoothed probs ~ simplex
+                total = float(np.exp(lp[0]).sum())
                 assert 0.99 <= total <= 1.01
 
 
@@ -286,8 +286,8 @@ def test_hs_model_roundtrip_and_simplex(tmp_path):
     p = str(tmp_path / "hs.bin")
     m.save(p)
     m2 = FastTextModel.load(p)
-    lp = m2.label_log_probs("alpha beta")
-    total = float(np.exp(lp).sum())
+    lp, _ = m2.log_probs(["alpha beta"])
+    total = float(np.exp(lp[0]).sum())
     # hs leaves form an exact simplex before the +1e-5 smoothing
     assert 0.99 <= total <= 1.01
     assert m2.predict("alpha beta", k=4) == m.predict("alpha beta", k=4)

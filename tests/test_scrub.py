@@ -135,3 +135,68 @@ def test_scrub_gates_tolerate_lone_surrogates():
         ["caf\udce9 mail me at a@b.com", "clean text"]
     )
     assert bool(has_at[0]) and not bool(has_at[1])
+
+
+def _ungated(sc, texts):
+    """Every regex pass on every doc: what the gates must reproduce."""
+    rows = [sc.scrub_one(t) for t in texts]
+    return [r[0] for r in rows], [list(r[1:]) for r in rows]
+
+
+def _gated(sc, texts):
+    out = sc(pa.table({"text": texts}))
+    counts = zip(*(out[c].to_pylist() for c in ("pii_emails", "pii_phones", "pii_ssns", "pii_slurs")))
+    return out["scrubbed_text"].to_pylist(), [list(c) for c in counts]
+
+
+def test_slur_gate_byte_identical_at_doc_edges():
+    sc = Scrubber()
+    texts = [
+        "badslur1",
+        "badslur1 at the start",
+        "at the end BADSLUR2",
+        "xbadslur1 glued, no word boundary",
+        "",
+        "badslur",
+        "3 follows the previous doc",
+        "clean text between hits",
+        "BadSlur3\nbadslur1-badslur2",
+        "badslur1",
+    ]
+    want = _ungated(sc, texts)
+    assert sum(c[3] for c in want[1]) == 7
+    assert _gated(sc, texts) == want
+
+
+def test_slur_gate_covers_replacement_tokens():
+    """A lexicon word that matches inside a token the email/digit passes
+    insert: the slur hit exists only after those passes ran."""
+    sc = Scrubber(slur_lexicon=["email", "ssn"])
+    assert sc.slur_in_tokens
+    texts = ["write to a@b.co today", "plain words", "id 123-45-6789", "email me"]
+    want = _ungated(sc, texts)
+    assert [c[3] for c in want[1]] == [1, 0, 1, 1]
+    assert _gated(sc, texts) == want
+    assert not Scrubber().slur_in_tokens
+
+
+def test_slur_gate_hypothesis():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    pieces = ["badslur1", "BADSLUR2", "badslur", "3", "x", "email", "a@b.co",
+              "123-45-6789", "<", ">", " ", "\n", "é", "ssn"]
+    doc = st.lists(st.sampled_from(pieces), max_size=12).map("".join)
+    scrubbers = [
+        Scrubber(),
+        Scrubber(slur_lexicon=["email", "ssn", "x<e"]),
+        Scrubber(slur_lexicon=["", "x"]),  # the empty word matches everywhere
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(doc, min_size=1, max_size=8))
+    def check(texts):
+        for sc in scrubbers:
+            assert _gated(sc, texts) == _ungated(sc, texts)
+
+    check()
