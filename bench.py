@@ -95,9 +95,9 @@ def run_headline() -> dict:
 
     from language_identification_ray.pipelines.quality_filter import build
 
-    # warm the page cache (untimed).  Actor-pool init CANNOT be pre-warmed:
-    # Ray Data actor pools are per-execution, so the ~5 s model-load cost is
-    # part of the timed window — the same cold start a production run pays
+    # warm the page cache (untimed).  The stage is NOT pre-warmed: this is
+    # the first execution of a fresh session, so each worker's model load
+    # is part of the timed window — the same cold start a production run pays
     pages, n_pages = _replicated_pages(SF_DIR, PAGES_REPLICATION)
 
     import shutil
@@ -105,13 +105,12 @@ def run_headline() -> dict:
     out_dir = "/tmp/bench_flagship_out"
     shutil.rmtree(out_dir, ignore_errors=True)
     t0 = time.time()
-    # fixed-size pool (autoscaling ramps too slowly for a short run) sized
-    # to the node minus I/O headroom; full north-rule pipeline incl. the
-    # perplexity LM stage
+    # stage tasks capped at the node minus I/O headroom; full north-rule
+    # pipeline incl. the perplexity LM stage
     # batch_size 1024: this sandbox charges ~0.2 s/MB of first-touch page
-    # faults PER ACTOR on the numpy temporaries, so the one-time cold cost
+    # faults PER WORKER on the numpy temporaries, so the one-time cold cost
     # scales with batch working set; 1024 also yields ~200 bundles per 200k
-    # docs (≫ pool size, no idle actors).  Measured 3-5× faster end-to-end
+    # docs (≫ the task cap, no idle slots).  Measured 3-5× faster end-to-end
     # than 4096 on this host.
     out = build(
         pages,

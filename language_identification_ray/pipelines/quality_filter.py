@@ -3,12 +3,17 @@
 Topology (all lazy; Ray's streaming executor pipelines the stages):
 
     pages (url, warc_ts, html, text, lang)
-      → map_batches(QualityFilterStage, actor pool)  # ONE fused pool stage:
+      → map_batches(QualityFilterStage handle, tasks)  # ONE fused task stage:
           decode/extract → langid → quality stats → [perplexity]
           → scrub → keep/drop rules → select output schema
-    (read tasks stay pure I/O; every CPU-heavy step runs at pool width —
-     a separate decode task stage could only use the CPUs the pool does
-     not reserve and capped the stream at node-sized pools)
+    (read tasks stay pure I/O; every CPU-heavy step runs in the one stage)
+
+The stage runs as Ray tasks, not an actor pool.  Each worker process keeps
+ONE ``QualityFilterStage`` in a process-level slot (``cached_stage``), built
+by the first task that needs it and reused by every later task and every
+later execution on that worker.  Ray's pooled workers outlive an execution,
+so a warm session starts stage work without booting processes, and tasks
+go to free CPU slots instead of queueing behind the first ready actor.
 
 Output schema per BASELINE.md: (url, lang, lang_conf, perplexity, keep,
 drop_reason, scrubbed_text, q_* stats, pii_* counts).  Shuffle-free on the
@@ -60,16 +65,23 @@ OUTPUT_COLUMNS = [
 
 
 class QualityFilterStage:
-    """ONE actor-pool stage running the whole per-document hot path:
-    langid → quality stats → [perplexity] → scrub → keep/drop rules.
+    """The whole per-document hot path in one callable:
+    decode → langid → quality stats → [perplexity] → scrub → keep/drop rules.
 
-    Why fused: an actor pool RESERVES its CPUs; splitting the hot path into
-    an actor stage + downstream task stages lets the pool starve the task
-    stages (measured on 32 CPUs: a 28-actor langid pool left the
-    quality/scrub task stage running at parallelism ≈ 1 and the pipeline
-    anti-scaled 8→32).  With a single pool the full cluster width works on
-    the one fused operator and stage boundaries cost nothing.  The modular
-    per-stage classes remain for à-la-carte pipelines.
+    In-process, ``QualityFilterStage(...)`` loads everything eagerly and
+    ``stage(batch)`` runs it.  Across processes a stage travels as its
+    config alone (``__reduce__``) and unpickles to the receiving process's
+    :func:`cached_stage`.  So :func:`build` ships a config-only
+    :meth:`handle`, and each Ray worker process keeps ONE stage, reused by
+    every task and every execution it runs: models load once per worker,
+    not once per execution.
+
+    Why fused: a split hot path (langid stage + quality/scrub stage) makes
+    the stages compete for the same CPUs and pays a block hand-off between
+    them (measured on 32 CPUs: a 28-actor langid pool left the quality/scrub
+    task stage at parallelism ≈ 1 and the pipeline anti-scaled 8→32).  One
+    operator gives the whole width to the hot path.  The modular per-stage
+    classes remain for à-la-carte pipelines.
     """
 
     def __init__(
@@ -81,10 +93,11 @@ class QualityFilterStage:
     ):
         from language_identification_ray.perf import tune_malloc
 
+        self.config = _stage_config(language_codes, with_perplexity, perplexity_per_language, detector)
         tune_malloc()  # once per worker: reuse heap pages (see perf.py)
         # detector="fasttext" runs real fastText-format inference (the
         # north-star hot path: lid.176 via $FASTTEXT_LID_MODEL, else the
-        # vendored in-repo model) — warm-loaded once per actor
+        # vendored in-repo model) — warm-loaded once per worker process
         self.langid = LangIdStage(language_codes=language_codes, detector=detector)
         self.quality = QualityStats()
         self.scrub = Scrubber()
@@ -97,20 +110,37 @@ class QualityFilterStage:
         cols = [c for c in OUTPUT_COLUMNS if with_perplexity or c != "perplexity"]
         self.cols = cols
 
+    @classmethod
+    def handle(
+        cls,
+        language_codes: Optional[Sequence[str]] = None,
+        with_perplexity: bool = False,
+        perplexity_per_language: bool = False,
+        detector: str = "ensemble",
+    ) -> "QualityFilterStage":
+        """A stage that holds only its config: it loads no model and tunes
+        no allocator, so the calling process stays light.  It is meant to be pickled
+        (each unpickle yields that process's cached stage), not called."""
+        stage = cls.__new__(cls)
+        stage.config = _stage_config(language_codes, with_perplexity, perplexity_per_language, detector)
+        return stage
+
+    def __reduce__(self):
+        return (cached_stage, self.config)
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        # decode/extract runs INSIDE the pool too (idempotent on already-
-        # decoded input): as a separate task stage it could only use the
-        # CPUs the pool does not reserve — measured at 32 CPUs / 30 actors,
-        # ~51 s of extraction compute squeezed through 2 CPUs and capped the
-        # whole pipeline; in-pool it adds ~30 ms to a ~150 ms batch and
-        # scales with pool width.  Read tasks stay pure I/O.
+        # decode/extract runs inside the stage too (idempotent on already-
+        # decoded input): as a separate stage it competed with this one for
+        # CPUs — measured at 32 CPUs / 30 actors, ~51 s of extraction
+        # compute squeezed through 2 CPUs and capped the whole pipeline;
+        # fused it adds ~30 ms to a ~150 ms batch.  Read tasks stay pure I/O.
         # the resumable runner tags rows with their source file; carry that
         # tag through untouched so its final stage can route rows by group
         path = batch["path"] if "path" in batch.schema.names else None
         batch = decode_extract_batch(batch)
         # materialize the text column ONCE for the whole fused chain — each
         # stage otherwise re-converts Arrow→Python strings (4× the memory
-        # traffic; memory bandwidth is the scaling limiter at pool width).
+        # traffic; memory bandwidth is the scaling limiter at full width).
         # Ditto the utf-32 codepoint buffer: ONE BatchTokens serves both the
         # quality stats and the scrub gates (langid encodes separately — it
         # scores max_chars-truncated text, a different buffer by contract).
@@ -128,10 +158,33 @@ class QualityFilterStage:
         return batch if path is None else batch.append_column("path", path)
 
 
+def _stage_config(language_codes, with_perplexity, perplexity_per_language, detector) -> tuple:
+    """The constructor arguments as a hashable key (codes as a tuple)."""
+    codes = tuple(language_codes) if language_codes else None
+    return (codes, with_perplexity, perplexity_per_language, detector)
+
+
+# this process's one stage: {config: QualityFilterStage}, at most one entry.
+# Module-level on purpose: a Ray worker unpickles a handle with no caller
+# object to hand it state, and the slot must outlive each task.
+_STAGE_SLOT: dict = {}
+
+
+def cached_stage(*config) -> QualityFilterStage:
+    """This process's stage for ``config``.  The first call builds it; later
+    calls with an equal config return the same object; a different config
+    replaces it, so a worker never holds more than one stage."""
+    stage = _STAGE_SLOT.get(config)
+    if stage is None:
+        _STAGE_SLOT.clear()  # free the old stage before loading the new one
+        stage = _STAGE_SLOT[config] = QualityFilterStage(*config)
+    return stage
+
+
 def build(
     pages: "rd.Dataset",
     language_codes: Optional[Sequence[str]] = None,
-    langid_concurrency=(2, 8),
+    langid_concurrency: Optional[int] = None,
     batch_size: int = 1024,
     with_perplexity: bool = False,
     perplexity_per_language: bool = False,
@@ -139,25 +192,18 @@ def build(
 ) -> "rd.Dataset":
     """Compose the flagship pipeline over a pages Dataset (lazy).
 
-    ``langid_concurrency`` is the (min, max) autoscaling actor-pool size for
-    the fused hot-path stage; (2, 8) keeps small runs light while letting
-    the pool grow to the node.  Size to cluster CPUs minus I/O headroom at
-    scale — the pool is the only CPU-heavy operator, so it can take nearly
-    the whole node.  Decode/extract is fused INTO the pool stage (see
-    QualityFilterStage.__call__) — as a task stage it could only use the
-    non-reserved CPUs and bottlenecked the stream at pool widths near the
-    node size."""
+    The fused stage runs as Ray tasks over each worker's cached stage (see
+    :class:`QualityFilterStage`), so an execution on a warm session boots
+    no process and each batch goes to a free CPU slot.
+    ``langid_concurrency`` caps how many stage tasks run at once; ``None``
+    lets Ray size the stage from the free CPUs.  The calling process ships
+    only the stage's config and loads no model."""
+    stage = QualityFilterStage.handle(language_codes, with_perplexity, perplexity_per_language, detector)
     return pages.map_batches(
-        QualityFilterStage,
+        stage,
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=langid_concurrency,
-        fn_constructor_kwargs={
-            "language_codes": list(language_codes) if language_codes else None,
-            "with_perplexity": with_perplexity,
-            "perplexity_per_language": perplexity_per_language,
-            "detector": detector,
-        },
     )
 
 

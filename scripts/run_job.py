@@ -31,7 +31,7 @@ def main() -> int:
     ap.add_argument("--output", required=True, help="output directory (checkpointed)")
     ap.add_argument("--group-size", type=int, default=64, help="input fragments per commit group")
     ap.add_argument("--batch-size", type=int, default=4096)
-    ap.add_argument("--concurrency", type=int, default=0, help="actor pool size (0 = cpus-2)")
+    ap.add_argument("--concurrency", type=int, default=0, help="max concurrent stage tasks (0 = cpus-2)")
     ap.add_argument("--no-perplexity", action="store_true")
     ap.add_argument("--detector", default="ensemble",
                     choices=["ensemble", "ngram", "script", "fasttext"],

@@ -235,9 +235,9 @@ def test_groups_commit_incrementally_and_partial_failure_redoes_rest(
         return _synthesize_batch(batch)
 
     def failing_fn(files):
-        # num_cpus=0 keeps this map out of the pool actor (an unequal
+        # num_cpus=0 keeps this map out of the stage's tasks (an unequal
         # resource request blocks operator fusion), so its wait blocks
-        # neither the actor nor a CPU the other groups need
+        # neither a stage task nor a CPU the other groups need
         return rd.read_parquet(files, include_paths=True).map_batches(
             fail_last_group, batch_format="pyarrow", num_cpus=0
         )

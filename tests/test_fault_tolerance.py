@@ -78,8 +78,17 @@ def test_groupby_survives_worker_crash(ray_session, tmp_path, sf_dir):
 
 
 def test_run_resumable_survives_worker_crash(ray_session, sharded_input, tmp_path):
-    """A worker of the single streaming execution (the pool actor, which
-    the injected map fuses into) dies once; after Ray's retry every input
+    _assert_run_resumable_survives_worker_crash(sharded_input, tmp_path, "ensemble")
+
+
+def test_run_resumable_fasttext_survives_worker_crash(ray_session, sharded_input, tmp_path):
+    _assert_run_resumable_survives_worker_crash(sharded_input, tmp_path, "fasttext")
+
+
+def _assert_run_resumable_survives_worker_crash(sharded_input, tmp_path, detector):
+    """A worker of the single streaming execution dies once.  The injected
+    map runs as its own task on Ray's pooled workers, the same processes
+    that keep the cached QualityFilterStage; after Ray's retry every input
     url is committed exactly once and every group has exactly one lineage
     line whose rows sum to the input."""
     import json
@@ -110,7 +119,7 @@ def test_run_resumable_survives_worker_crash(ray_session, sharded_input, tmp_pat
         )
 
     out = str(tmp_path / "out")
-    info = run_resumable(shards, out, group_size=1, pages_dataset_fn=pages_fn)
+    info = run_resumable(shards, out, group_size=1, pages_dataset_fn=pages_fn, detector=detector)
     assert os.path.exists(marker)  # the crash really happened
     assert info["groups_run"] == [0, 1, 2, 3]
 

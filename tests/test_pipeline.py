@@ -152,8 +152,8 @@ def test_partitioned_resume_prunes_and_redoes(ray_session, sf_dir, tmp_path):
 
 def test_flagship_fasttext_detector_variant(ray_session, sf_dir):
     """detector="fasttext" runs the flagship with real fastText-format
-    inference warm-loaded per actor (the north-star hot path) — same
-    schema, sane langs, keep-majority preserved."""
+    inference warm-loaded once per worker process (the north-star hot
+    path) — same schema, sane langs, keep-majority preserved."""
     from language_identification_ray.pipelines.quality_filter import run
 
     df = run(sf_dir, detector="fasttext").to_pandas()
@@ -164,3 +164,87 @@ def test_flagship_fasttext_detector_variant(ray_session, sf_dir):
     # must agree on the bulk label and keep most documents
     assert (df["lang"] == "en").mean() > 0.5
     assert df["keep"].mean() > 0.5
+
+
+def _pages_table(sf_dir):
+    import pyarrow.parquet as pq
+
+    from language_identification_ray.sources.pages import _synthesize_batch
+
+    return _synthesize_batch(pq.read_table(f"{sf_dir}/documents.parquet"))
+
+
+def test_stage_handle_unpickles_to_the_process_cached_stage(sf_dir, monkeypatch):
+    """A stage handle pickles as its config alone; unpickling yields this
+    process's one cached stage for an equal config, a different config
+    replaces the slot, and the cached stage computes exactly what a
+    directly built stage does."""
+    import pickle
+
+    from language_identification_ray.pipelines import quality_filter as qf
+
+    monkeypatch.setattr(qf, "_STAGE_SLOT", {})  # a fresh slot, dropped after
+    handle = qf.QualityFilterStage.handle(["en", "fr"], detector="fasttext")
+    assert not hasattr(handle, "langid")  # a handle loads nothing
+    blob = pickle.dumps(handle)
+    assert len(blob) < 512  # config only, no model
+
+    stage = pickle.loads(blob)
+    assert stage is not handle and hasattr(stage, "langid")
+    # an equal config spelled differently reuses the same object
+    same = pickle.loads(pickle.dumps(qf.QualityFilterStage.handle(("en", "fr"), detector="fasttext")))
+    assert same is stage
+    assert list(qf._STAGE_SLOT.values()) == [stage]
+
+    other = pickle.loads(pickle.dumps(qf.QualityFilterStage.handle(with_perplexity=True)))
+    assert other is not stage
+    assert list(qf._STAGE_SLOT.values()) == [other]  # replaced, not added
+    assert pickle.loads(pickle.dumps(other)) is other  # a built stage ships as its config too
+    assert pickle.loads(blob) is not stage  # the old stage is gone
+
+    batch = _pages_table(sf_dir).slice(0, 200)
+    for cfg in ({"detector": "fasttext"}, {"with_perplexity": True, "detector": "ensemble"}):
+        cached = pickle.loads(pickle.dumps(qf.QualityFilterStage.handle(**cfg)))
+        assert cached(batch).equals(qf.QualityFilterStage(**cfg)(batch))
+
+
+@pytest.mark.parametrize("detector", ["ensemble", "fasttext"])
+def test_build_reuses_worker_stages_across_executions(ray_session, sharded_input, detector, monkeypatch):
+    """Two back-to-back build() executions in one session, at most 2 stage
+    tasks at a time over several bundles: sorted by url, each output equals
+    the other and the in-process stage's output, and the calling process
+    never builds a stage."""
+    import re
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data._internal.compute import TaskPoolStrategy
+
+    from language_identification_ray.pipelines import quality_filter as qf
+    from language_identification_ray.sources.pages import _synthesize_batch
+
+    shards, n = sharded_input
+    pages = _synthesize_batch(pq.read_table(shards))
+    want = qf.QualityFilterStage(detector=detector)(pages).sort_by("url")
+
+    def no_local_stage(*_a, **_k):
+        raise AssertionError("the calling process built a QualityFilterStage")
+
+    # workers import their own copy of the module; only this process's fails
+    monkeypatch.setattr(qf.QualityFilterStage, "__init__", no_local_stage)
+    outs = []
+    for _ in range(2):
+        ds = qf.build(
+            rd.read_parquet(shards).map_batches(_synthesize_batch, batch_format="pyarrow"),
+            detector=detector,
+            langid_concurrency=2,
+            batch_size=64,
+        )
+        assert isinstance(ds._logical_plan.dag._compute, TaskPoolStrategy)  # no actor pool
+        outs.append(pa.concat_tables(ds.iter_batches(batch_size=None, batch_format="pyarrow")).sort_by("url"))
+        m = re.search(r"MapBatches\(QualityFilterStage\): (\d+) tasks executed", ds.stats())
+        assert m and int(m[1]) >= 4, ds.stats()
+    assert qf._STAGE_SLOT == {}
+    assert outs[0].num_rows == n
+    assert outs[0].equals(outs[1])
+    assert outs[0].equals(want)
