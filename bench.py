@@ -105,8 +105,8 @@ def run_headline() -> dict:
     out_dir = "/tmp/bench_flagship_out"
     shutil.rmtree(out_dir, ignore_errors=True)
     t0 = time.time()
-    # stage tasks capped at the node minus I/O headroom; full north-rule
-    # pipeline incl. the perplexity LM stage
+    # stage tasks capped at build()'s default (the node minus I/O headroom);
+    # full north-rule pipeline incl. the perplexity LM stage
     # batch_size 1024: this sandbox charges ~0.2 s/MB of first-touch page
     # faults PER WORKER on the numpy temporaries, so the one-time cold cost
     # scales with batch working set; 1024 also yields ~200 bundles per 200k
@@ -114,7 +114,6 @@ def run_headline() -> dict:
     # than 4096 on this host.
     out = build(
         pages,
-        langid_concurrency=max(2, NUM_CPUS - 2),
         batch_size=1024,
         with_perplexity=True,
     )

@@ -13,7 +13,10 @@ ONE ``QualityFilterStage`` in a process-level slot (``cached_stage``), built
 by the first task that needs it and reused by every later task and every
 later execution on that worker.  Ray's pooled workers outlive an execution,
 so a warm session starts stage work without booting processes, and tasks
-go to free CPU slots instead of queueing behind the first ready actor.
+go to free CPU slots instead of queueing behind the first ready actor.  A
+stage lives as long as its worker, so a node holds at most one stage per
+Ray worker process (measured on 4 CPUs with the default task cap of 2:
+2-3 stages, all built in a session's first execution).
 
 Output schema per BASELINE.md: (url, lang, lang_conf, perplexity, keep,
 drop_reason, scrubbed_text, q_* stats, pii_* counts).  Shuffle-free on the
@@ -69,12 +72,11 @@ class QualityFilterStage:
     decode → langid → quality stats → [perplexity] → scrub → keep/drop rules.
 
     In-process, ``QualityFilterStage(...)`` loads everything eagerly and
-    ``stage(batch)`` runs it.  Across processes a stage travels as its
+    ``stage(batch)`` runs it.  A config-only :meth:`handle` travels as its
     config alone (``__reduce__``) and unpickles to the receiving process's
-    :func:`cached_stage`.  So :func:`build` ships a config-only
-    :meth:`handle`, and each Ray worker process keeps ONE stage, reused by
-    every task and every execution it runs: models load once per worker,
-    not once per execution.
+    :func:`cached_stage`.  :func:`build` ships a handle, so each Ray worker
+    process keeps ONE stage, reused by every task and every execution it
+    runs: models load once per worker, not once per execution.
 
     Why fused: a split hot path (langid stage + quality/scrub stage) makes
     the stages compete for the same CPUs and pays a block hand-off between
@@ -93,7 +95,6 @@ class QualityFilterStage:
     ):
         from language_identification_ray.perf import tune_malloc
 
-        self.config = _stage_config(language_codes, with_perplexity, perplexity_per_language, detector)
         tune_malloc()  # once per worker: reuse heap pages (see perf.py)
         # detector="fasttext" runs real fastText-format inference (the
         # north-star hot path: lid.176 via $FASTTEXT_LID_MODEL, else the
@@ -111,18 +112,13 @@ class QualityFilterStage:
         self.cols = cols
 
     @classmethod
-    def handle(
-        cls,
-        language_codes: Optional[Sequence[str]] = None,
-        with_perplexity: bool = False,
-        perplexity_per_language: bool = False,
-        detector: str = "ensemble",
-    ) -> "QualityFilterStage":
-        """A stage that holds only its config: it loads no model and tunes
-        no allocator, so the calling process stays light.  It is meant to be pickled
-        (each unpickle yields that process's cached stage), not called."""
+    def handle(cls, *args, **kwargs) -> "QualityFilterStage":
+        """A stage that holds only its config (the constructor's arguments):
+        it loads no model and tunes no allocator, so the calling process
+        stays light.  It is meant to be pickled (each unpickle yields that
+        process's cached stage), not called."""
         stage = cls.__new__(cls)
-        stage.config = _stage_config(language_codes, with_perplexity, perplexity_per_language, detector)
+        stage.config = _stage_config(*args, **kwargs)
         return stage
 
     def __reduce__(self):
@@ -158,7 +154,12 @@ class QualityFilterStage:
         return batch if path is None else batch.append_column("path", path)
 
 
-def _stage_config(language_codes, with_perplexity, perplexity_per_language, detector) -> tuple:
+def _stage_config(
+    language_codes: Optional[Sequence[str]] = None,
+    with_perplexity: bool = False,
+    perplexity_per_language: bool = False,
+    detector: str = "ensemble",
+) -> tuple:
     """The constructor arguments as a hashable key (codes as a tuple)."""
     codes = tuple(language_codes) if language_codes else None
     return (codes, with_perplexity, perplexity_per_language, detector)
@@ -196,8 +197,11 @@ def build(
     :class:`QualityFilterStage`), so an execution on a warm session boots
     no process and each batch goes to a free CPU slot.
     ``langid_concurrency`` caps how many stage tasks run at once; ``None``
-    lets Ray size the stage from the free CPUs.  The calling process ships
-    only the stage's config and loads no model."""
+    means ``max(2, cpus - 2)`` over the Ray cluster's CPUs, leaving two for
+    read and write tasks.  The calling process ships only the stage's
+    config and loads no model."""
+    if langid_concurrency is None:
+        langid_concurrency = _default_stage_tasks()
     stage = QualityFilterStage.handle(language_codes, with_perplexity, perplexity_per_language, detector)
     return pages.map_batches(
         stage,
@@ -205,6 +209,15 @@ def build(
         batch_size=batch_size,
         concurrency=langid_concurrency,
     )
+
+
+def _default_stage_tasks() -> int:
+    """``max(2, cpus - 2)``: the cluster's CPUs once Ray is up, else this
+    host's (the CPUs Ray starts a local session with)."""
+    import ray
+
+    cpus = ray.cluster_resources().get("CPU", 0) if ray.is_initialized() else os.cpu_count()
+    return max(2, int(cpus or 0) - 2)
 
 
 def run(sf_dir: str, **kwargs) -> "rd.Dataset":

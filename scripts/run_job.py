@@ -31,7 +31,7 @@ def main() -> int:
     ap.add_argument("--output", required=True, help="output directory (checkpointed)")
     ap.add_argument("--group-size", type=int, default=64, help="input fragments per commit group")
     ap.add_argument("--batch-size", type=int, default=4096)
-    ap.add_argument("--concurrency", type=int, default=0, help="max concurrent stage tasks (0 = cpus-2)")
+    ap.add_argument("--concurrency", type=int, default=0, help="max concurrent stage tasks (0 = max(2, cpus-2))")
     ap.add_argument("--no-perplexity", action="store_true")
     ap.add_argument("--detector", default="ensemble",
                     choices=["ensemble", "ngram", "script", "fasttext"],
@@ -58,9 +58,6 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    n_cpus = int(ray.cluster_resources().get("CPU", 4))
-    concurrency = args.concurrency or max(2, n_cpus - 2)
-
     from language_identification_ray.pipelines.checkpoint import run_resumable
 
     t0 = time.time()
@@ -68,7 +65,7 @@ def main() -> int:
         args.input,
         args.output,
         group_size=args.group_size,
-        langid_concurrency=concurrency,
+        langid_concurrency=args.concurrency or None,  # None: build() sizes it
         batch_size=args.batch_size,
         with_perplexity=not args.no_perplexity,
         perplexity_per_language=args.per_language_ppl,

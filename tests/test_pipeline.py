@@ -199,13 +199,27 @@ def test_stage_handle_unpickles_to_the_process_cached_stage(sf_dir, monkeypatch)
     other = pickle.loads(pickle.dumps(qf.QualityFilterStage.handle(with_perplexity=True)))
     assert other is not stage
     assert list(qf._STAGE_SLOT.values()) == [other]  # replaced, not added
-    assert pickle.loads(pickle.dumps(other)) is other  # a built stage ships as its config too
     assert pickle.loads(blob) is not stage  # the old stage is gone
 
     batch = _pages_table(sf_dir).slice(0, 200)
     for cfg in ({"detector": "fasttext"}, {"with_perplexity": True, "detector": "ensemble"}):
         cached = pickle.loads(pickle.dumps(qf.QualityFilterStage.handle(**cfg)))
         assert cached(batch).equals(qf.QualityFilterStage(**cfg)(batch))
+
+
+def test_build_caps_stage_tasks_by_default(ray_session):
+    """Left unset, ``langid_concurrency`` is the int cap max(2, cpus - 2)
+    over the session's CPUs: the number of stage tasks, and so of workers
+    building a stage at once, is bounded."""
+    import ray
+    import ray.data as rd
+    from ray.data._internal.compute import TaskPoolStrategy
+
+    from language_identification_ray.pipelines import quality_filter as qf
+
+    compute = qf.build(rd.from_items([{"url": "u", "text": "t"}]))._logical_plan.dag._compute
+    assert isinstance(compute, TaskPoolStrategy)
+    assert compute.size == max(2, int(ray.cluster_resources()["CPU"]) - 2)
 
 
 @pytest.mark.parametrize("detector", ["ensemble", "fasttext"])
