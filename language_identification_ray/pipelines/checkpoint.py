@@ -12,6 +12,14 @@ SURVEY.md §4.1); this module is the scale-out answer:
     into their group's ``_tmp_group=NNNNN`` staging dir (parquet discovery
     skips underscore dirs, so partial output stays invisible) and returns
     one small ``(group, rows)`` row per group;
+  * stage tasks are sized by input bytes, not rows: each takes about
+    ``TARGET_BYTES`` of uncompressed input (bytes per row from the same
+    parquet footers that give the row counts), at most ``batch_size`` rows,
+    so a task holds about the same input whether pages are long or short;
+  * the writer runs under the stage's task cap, so Ray fuses
+    ``MapBatches(QualityFilterStage)->MapBatches(_write_groups)`` into one
+    task: each stage task writes its own rows, with no hand-off between
+    operators;
   * ``run_resumable`` consumes those rows as they stream; when a group's rows
     reach its input row count (parquet footers — the stage keeps row
     count) and ``_count_staged`` agrees, the group **commits**: staging dir
@@ -36,6 +44,7 @@ one execution keeps the cluster busy across group boundaries.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -50,6 +59,8 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 LINEAGE_FILE = "_LINEAGE.jsonl"
+# input bytes per stage task; chosen by a sweep over 0.25-4 MiB (CHANGES.md)
+TARGET_BYTES = 1 << 20
 
 
 def _staging_dir(out_dir: str, gid: int) -> str:
@@ -83,6 +94,16 @@ def _write_groups(batch: pa.Table, out_dir: str, group_of: dict) -> pa.Table:
         pq.write_table(part, tmp)
         os.replace(tmp, os.path.join(staging, f"{name}.parquet"))
     return pa.table({"group": pa.array(groups, pa.int64()), "rows": pa.array(counts, pa.int64())})
+
+
+def _task_rows(batch_size: int, input_bytes: int, input_rows: int) -> int:
+    """Rows per stage task: as many as hold about ``TARGET_BYTES`` of input
+    (uncompressed parquet bytes per row, from the footers), at most
+    ``batch_size``.  Long pages then spread over many tasks, where a fixed
+    row count bundles them into a few large ones; short pages stay near
+    ``batch_size``."""
+    bytes_per_row = max(1, input_bytes // max(1, input_rows))
+    return min(batch_size, max(1, TARGET_BYTES // bytes_per_row))
 
 
 def list_input_files(input_path: str) -> List[str]:
@@ -238,6 +259,12 @@ def run_resumable(
     soon as its rows are staged, so lineage lines may be appended out of
     group order, and a record's ``wall_s`` is the seconds since this call's
     previous commit (for the first commit, since the call started).
+
+    ``pipeline_kwargs`` go to :func:`quality_filter.build`, with two
+    changes: ``batch_size`` becomes the rows that hold about
+    ``TARGET_BYTES`` of input (never more than asked), and
+    ``langid_concurrency`` is resolved to its int cap, which the group
+    writer shares so that it runs inside each stage task.
     """
     t_call = time.time()
     files = list_input_files(input_path)
@@ -284,10 +311,12 @@ def _run_groups(
     groups, rel_root, out_dir, done, ran, skipped, t_call,
     pages_dataset_fn, pipeline_kwargs,
 ) -> None:
+    from language_identification_ray.pipelines.quality_filter import _default_stage_tasks
     from language_identification_ray.pipelines.quality_filter import build as _build
     from language_identification_ray.sources.pages import read_pages as _read_pages
 
     pending = {}
+    input_bytes = 0  # uncompressed, over the pending groups' footers
     for gid, gfiles in enumerate(groups):
         gname = f"group={gid:05d}"
         gdir = os.path.join(out_dir, gname)
@@ -318,7 +347,11 @@ def _run_groups(
         os.makedirs(staging)
         # absolute paths: the row tag read_parquet attaches must match this
         # map whatever the caller's or the workers' cwd
-        pending[gid] = {os.path.abspath(f): pq.read_metadata(f).num_rows for f in gfiles}
+        footers = {os.path.abspath(f): pq.read_metadata(f) for f in gfiles}
+        pending[gid] = {f: m.num_rows for f, m in footers.items()}
+        input_bytes += sum(
+            m.row_group(i).total_byte_size for m in footers.values() for i in range(m.num_row_groups)
+        )
 
     t_prev = t_call
 
@@ -369,10 +402,21 @@ def _run_groups(
     files = [f for gid in expected for f, n in pending[gid].items() if n]
     group_of = {f: gid for gid in expected for f in pending[gid]}
     pages = pages_dataset_fn(files) if pages_dataset_fn else _read_pages(files, include_paths=True)
-    out = _build(pages, **pipeline_kwargs).map_batches(
+    # the writer takes the stage's int task cap, so Ray fuses the two into
+    # one task (Task->Task fusion needs equal sizes): each stage task writes
+    # its own output, with no hand-off to a separate writer operator
+    cap = pipeline_kwargs.get("langid_concurrency")
+    if cap is None:
+        cap = _default_stage_tasks()
+    kwargs = {**pipeline_kwargs, "langid_concurrency": cap}
+    batch_size = kwargs.get("batch_size", inspect.signature(_build).parameters["batch_size"].default)
+    if batch_size is not None:  # None: Ray's whole-block batches, as asked
+        kwargs["batch_size"] = _task_rows(batch_size, input_bytes, sum(expected.values()))
+    out = _build(pages, **kwargs).map_batches(
         _write_groups,
         batch_format="pyarrow",
         batch_size=None,  # write whatever block arrives; no re-buffering
+        concurrency=cap,
         fn_kwargs={"out_dir": out_dir, "group_of": group_of},
     )
     streamed: Counter = Counter()

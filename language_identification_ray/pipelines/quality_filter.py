@@ -35,7 +35,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from language_identification_ray.sources.pages import read_pages, synthesize_pages
+from language_identification_ray.sources.pages import synthesize_pages
 from language_identification_ray.stages.decode import decode_extract_batch
 from language_identification_ray.stages.langid import LangIdStage, set_or_append
 from language_identification_ray.stages.quality import QualityStats
@@ -223,10 +223,6 @@ def _default_stage_tasks() -> int:
 def run(sf_dir: str, **kwargs) -> "rd.Dataset":
     """Synthesized pages from the driver testdata → flagship output."""
     return build(synthesize_pages(sf_dir), **kwargs)
-
-
-def run_from_parquet(path: str, **kwargs) -> "rd.Dataset":
-    return build(read_pages(path), **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ size, for run metrics).
 
 from __future__ import annotations
 
-import re
-
 import pyarrow as pa
 
 from language_identification_ray.functions.html import extract_text
@@ -28,8 +26,13 @@ from language_identification_ray.functions.textnorm import (
     truncate_text,
 )
 
-_RE_HWS = re.compile(r"[^\S\n]+", flags=re.U)  # horizontal whitespace runs
-_RE_NLRUN = re.compile(r"[^\S\n]*\n[\s]*", flags=re.U)  # newline(+blank) runs
+
+def collapse_whitespace(text: str) -> str:
+    """Each line's whitespace runs become one space and its ends are
+    trimmed; blank lines are dropped, so single newlines survive.
+    ``str.split()`` splits on exactly the characters ``str.isspace()``
+    accepts, which is what ``re``'s Unicode ``\\s`` matches."""
+    return "\n".join(j for j in (" ".join(line.split()) for line in text.split("\n")) if j)
 
 
 def decode_and_extract(text: str | None, html: bytes | None) -> "tuple[str, int]":
@@ -49,7 +52,7 @@ def decode_and_extract(text: str | None, html: bytes | None) -> "tuple[str, int]
         out = extract_text(ensure_unicode(html))
     else:
         return "", 0
-    out = _RE_NLRUN.sub("\n", _RE_HWS.sub(" ", out)).strip()
+    out = collapse_whitespace(out)
     # n_bytes is the PRE-truncation size (run metrics count input volume;
     # measuring after the 10 MiB cap would silently clip every large doc)
     n = len(out.encode("utf-8"))

@@ -65,7 +65,7 @@ def main() -> int:
         args.input,
         args.output,
         group_size=args.group_size,
-        langid_concurrency=args.concurrency or None,  # None: build() sizes it
+        langid_concurrency=args.concurrency or None,  # None: max(2, cpus - 2)
         batch_size=args.batch_size,
         with_perplexity=not args.no_perplexity,
         perplexity_per_language=args.per_language_ppl,

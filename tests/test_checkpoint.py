@@ -320,3 +320,71 @@ def test_row_count_mismatch_is_never_committed(ray_session, sharded_input, tmp_p
         run_resumable(input_dir, out, group_size=4, pages_dataset_fn=doubling_fn)
     assert completed_groups(out) == {}
     assert not os.path.exists(os.path.join(out, "group=00000"))
+
+
+@pytest.fixture(scope="module")
+def long_html_input(tmp_path_factory):
+    """8 html-only fragments of 32 long pages: a ~60 KB inline script around
+    a few paragraphs of seed sentences, so the footers report ~60 KB/row."""
+    import numpy as np
+
+    from language_identification_ray.state.seed_corpus import SEED_SENTENCES
+
+    pool = [s for lang in sorted(SEED_SENTENCES) for s in SEED_SENTENCES[lang]]
+    rng = np.random.default_rng(5)
+    d = tmp_path_factory.mktemp("long_html")
+    for k in range(8):
+        urls, htmls = [], []
+        for i in range(32):
+            body = " ".join(pool[j] for j in rng.choice(len(pool), 12, replace=False))
+            script = "var x = %d; " % i * 5000
+            urls.append(f"https://long.example.org/{k}/{i}")
+            htmls.append(f"<html><head><script>{script}</script></head><body><p>{body}</p></body></html>".encode())
+        pq.write_table(
+            pa.table({"url": urls, "text": [""] * 32, "html": pa.array(htmls, pa.binary())}),
+            str(d / f"part-{k:03d}.parquet"),
+        )
+    return str(d)
+
+
+@pytest.mark.parametrize("cap", [3, None])
+def test_long_pages_run_as_byte_sized_fused_stage_writer_tasks(
+    ray_session, long_html_input, tmp_path, monkeypatch, cap
+):
+    """On long pages run_resumable's stage tasks are sized by footer bytes,
+    not by batch_size rows: the execution runs at least one stage task per
+    CPU, the group writer runs inside the stage task (one fused operator)
+    at an explicit cap and at the default, and the output equals the
+    in-process stage over batches of 1,024."""
+    import re
+
+    import pyarrow.dataset as pads
+    import ray
+    import ray.data as rd
+
+    from language_identification_ray.pipelines.checkpoint import run_resumable
+    from language_identification_ray.pipelines.quality_filter import QualityFilterStage
+
+    executed = []
+    iter_batches = rd.Dataset.iter_batches
+
+    def record(self, *args, **kwargs):
+        executed.append(self)
+        return iter_batches(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "iter_batches", record)
+    out = str(tmp_path / "out")
+    info = run_resumable(long_html_input, out, group_size=2, langid_concurrency=cap, batch_size=1024)
+    assert info["groups_run"] == [0, 1, 2, 3]
+
+    (ds,) = executed
+    ops = dict(re.findall(r"Operator \d+ (.+?): (\d+) tasks executed", ds.stats()))
+    stage_ops = [name for name in ops if "QualityFilterStage" in name or "_write_groups" in name]
+    assert stage_ops == ["MapBatches(QualityFilterStage)->MapBatches(_write_groups)"], ops
+    assert int(ops[stage_ops[0]]) >= ray.cluster_resources()["CPU"], ops
+
+    pages = pads.dataset(long_html_input).to_table()
+    stage = QualityFilterStage()
+    want = pa.concat_tables(stage(pages.slice(i, 1024)) for i in range(0, pages.num_rows, 1024))
+    got = pads.dataset(out).to_table()
+    assert got.sort_by("url").equals(want.sort_by("url"))

@@ -203,3 +203,75 @@ def test_fused_stage_fasttext_batch_invariant(fused_stage, texts, rnd):
     order = list(range(len(texts)))
     rnd.shuffle(order)
     _assert_batch_invariant(fused_stage, texts, order, ("lang", "lang_conf", "keep"))
+
+
+def _long_html(seed: int) -> bytes:
+    """A long html page: one language's seed sentences, then distinct
+    sentences of all languages, three to a paragraph."""
+    from language_identification_ray.state.seed_corpus import SEED_SENTENCES
+
+    rng = np.random.default_rng(seed)
+    langs = sorted(SEED_SENTENCES)
+    pool = [s for lang in langs for s in SEED_SENTENCES[lang]]
+    sents = SEED_SENTENCES[langs[seed % len(langs)]] + [
+        pool[i] for i in rng.choice(len(pool), int(rng.integers(0, 120)), replace=False)]
+    paras = [" ".join(sents[i:i + 3]) for i in range(0, len(sents), 3)]
+    return ("<html><body><nav>home | about</nav><p>" + "</p>\n<p>".join(paras)
+            + "</p><script>var x = 1;</script></body></html>").encode("utf-8")
+
+
+# (text, html) pages: long html, NULL and empty fields, a lone surrogate
+# encoded in the html bytes (Arrow strings cannot carry one), invalid UTF-8,
+# and text dense with "\n"
+PAGE = st.one_of(
+    st.integers(0, 10_000).map(lambda s: ("", _long_html(s))),
+    st.sampled_from([
+        (None, None),
+        ("", b""),
+        (None, b"<p>a \xed\xa0\x80 lone surrogate \xed\xb2\x80</p>"),
+        ("", b"<p>caf\xe9 na\xefve \xff\xfe bad bytes</p>"),
+        ("\n" * 50 + "the\n\nquick\n \n brown\n" * 20, None),
+        ("\n", b"<p>the chat</p>"),
+    ]),
+    DOC.map(lambda t: (t, None)),
+)
+
+
+def _pages(pages):
+    return pa.table({
+        "url": [str(i) for i in range(len(pages))],
+        "text": pa.array([t for t, _ in pages], pa.string()),
+        "html": pa.array([h for _, h in pages], pa.binary()),
+    })
+
+
+def _row_bytes(out: pa.Table) -> list:
+    """Each output row as a tuple, floats by their bit pattern (NaN-safe)."""
+    cols = []
+    for field in out.schema:
+        vals = out[field.name].to_pylist()
+        if pa.types.is_floating(field.type):
+            vals = [None if v is None else np.float64(v).tobytes() for v in vals]
+        cols.append(vals)
+    return list(zip(*cols))
+
+
+@pytest.fixture(scope="module")
+def ensemble_stage():
+    from language_identification_ray.pipelines.quality_filter import QualityFilterStage
+
+    return QualityFilterStage(detector="ensemble", with_perplexity=True)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(PAGE, min_size=1, max_size=8), st.randoms(use_true_random=False))
+def test_fused_stage_ensemble_batch_invariant(ensemble_stage, pages, rnd):
+    """Every output column of the ensemble + perplexity stage is
+    byte-identical at batch size 1, in the whole batch and shuffled."""
+    order = list(range(len(pages)))
+    rnd.shuffle(order)
+    whole = _row_bytes(ensemble_stage(_pages(pages)))
+    singles = [_row_bytes(ensemble_stage(_pages([p])))[0][1:] for p in pages]
+    shuffled = _row_bytes(ensemble_stage(_pages([pages[i] for i in order])))
+    assert [r[1:] for r in whole] == singles  # column 0 is the positional url
+    assert [whole[i][1:] for i in order] == [r[1:] for r in shuffled]

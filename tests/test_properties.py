@@ -330,3 +330,25 @@ def test_ordered_pair_expansion_covers_all_pairs(seg_sizes):
                 if a != b:
                     expect.add((a, b))
     assert got == expect and len(got) == int(m.sum())
+
+
+# every code point str.isspace() accepts, plus newline-adjacent edge cases
+# (NUL, a lone surrogate) and a few non-space letters between them
+_WS_ALPHABET = [chr(c) for c in range(0x110000) if chr(c).isspace()] + [
+    "\n", "\x00", "\ud800", "a", "é", "中",
+]
+
+
+def _collapse_regex_form(text: str) -> str:
+    import re
+
+    text = re.sub(r"[^\S\n]+", " ", text)
+    return re.sub(r"[^\S\n]*\n[\s]*", "\n", text).strip()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.sampled_from(_WS_ALPHABET), max_size=80))
+def test_collapse_whitespace_matches_regex_form(text):
+    from language_identification_ray.stages.decode import collapse_whitespace
+
+    assert collapse_whitespace(text) == _collapse_regex_form(text)
