@@ -12,10 +12,11 @@ SURVEY.md §4.1); this module is the scale-out answer:
     into their group's ``_tmp_group=NNNNN`` staging dir (parquet discovery
     skips underscore dirs, so partial output stays invisible) and returns
     one small ``(group, rows)`` row per group;
-  * stage tasks are sized by input bytes, not rows: each takes about
-    ``TARGET_BYTES`` of uncompressed input (bytes per row from the same
-    parquet footers that give the row counts), at most ``batch_size`` rows,
-    so a task holds about the same input whether pages are long or short;
+  * a stage task takes ``batch_size`` rows, unless the execution is too
+    short for that to give two tasks per stage slot (a few fragments of
+    long pages, say): then it takes about ``TARGET_BYTES`` of uncompressed
+    input (bytes per row from the same parquet footers that give the row
+    counts), so the stage still gets enough tasks to fill its cap;
   * the writer runs under the stage's task cap, so Ray fuses
     ``MapBatches(QualityFilterStage)->MapBatches(_write_groups)`` into one
     task: each stage task writes its own rows, with no hand-off between
@@ -44,7 +45,6 @@ one execution keeps the cluster busy across group boundaries.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import os
 import shutil
@@ -59,7 +59,8 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 LINEAGE_FILE = "_LINEAGE.jsonl"
-# input bytes per stage task; chosen by a sweep over 0.25-4 MiB (CHANGES.md)
+# input bytes per stage task in a short execution; chosen by a sweep over
+# 0.25-4 MiB (CHANGES.md)
 TARGET_BYTES = 1 << 20
 
 
@@ -96,12 +97,16 @@ def _write_groups(batch: pa.Table, out_dir: str, group_of: dict) -> pa.Table:
     return pa.table({"group": pa.array(groups, pa.int64()), "rows": pa.array(counts, pa.int64())})
 
 
-def _task_rows(batch_size: int, input_bytes: int, input_rows: int) -> int:
-    """Rows per stage task: as many as hold about ``TARGET_BYTES`` of input
+def _task_rows(batch_size: int, input_bytes: int, input_rows: int, cap: int) -> int:
+    """Rows per stage task: ``batch_size``, unless the execution has fewer
+    than ``2 * cap * batch_size`` rows.  Then ``batch_size`` rows would
+    leave stage slots idle (2,000 long pages at 1,024 rows make 2 tasks),
+    so a task takes the rows that hold about ``TARGET_BYTES`` of input
     (uncompressed parquet bytes per row, from the footers), at most
-    ``batch_size``.  Long pages then spread over many tasks, where a fixed
-    row count bundles them into a few large ones; short pages stay near
-    ``batch_size``."""
+    ``batch_size``.  A long execution keeps large tasks: there smaller ones
+    only add per-task cost."""
+    if input_rows >= 2 * cap * batch_size:
+        return batch_size
     bytes_per_row = max(1, input_bytes // max(1, input_rows))
     return min(batch_size, max(1, TARGET_BYTES // bytes_per_row))
 
@@ -244,6 +249,7 @@ def run_resumable(
     out_dir: str,
     group_size: int = 64,
     pages_dataset_fn=None,
+    batch_size: int = 1024,
     **pipeline_kwargs,
 ) -> dict:
     """Run (or resume) the flagship pipeline over ``input_path`` parquet.
@@ -260,11 +266,12 @@ def run_resumable(
     group order, and a record's ``wall_s`` is the seconds since this call's
     previous commit (for the first commit, since the call started).
 
-    ``pipeline_kwargs`` go to :func:`quality_filter.build`, with two
-    changes: ``batch_size`` becomes the rows that hold about
-    ``TARGET_BYTES`` of input (never more than asked), and
-    ``langid_concurrency`` is resolved to its int cap, which the group
-    writer shares so that it runs inside each stage task.
+    ``batch_size`` and ``pipeline_kwargs`` go to
+    :func:`quality_filter.build`, with two changes.  In an execution too
+    short for two ``batch_size``-row tasks per stage slot, ``batch_size``
+    becomes the rows that hold about ``TARGET_BYTES`` of input (never more
+    than asked).  ``langid_concurrency`` is resolved to its int cap, which
+    the group writer shares so that it runs inside each stage task.
     """
     t_call = time.time()
     files = list_input_files(input_path)
@@ -289,7 +296,7 @@ def run_resumable(
     with _RunLock(out_dir):
         _run_groups(
             groups, rel_root, out_dir, done, ran, skipped, t_call,
-            pages_dataset_fn, pipeline_kwargs,
+            pages_dataset_fn, batch_size, pipeline_kwargs,
         )
 
     totals: Counter = Counter()
@@ -309,7 +316,7 @@ def run_resumable(
 
 def _run_groups(
     groups, rel_root, out_dir, done, ran, skipped, t_call,
-    pages_dataset_fn, pipeline_kwargs,
+    pages_dataset_fn, batch_size, pipeline_kwargs,
 ) -> None:
     from language_identification_ray.pipelines.quality_filter import _default_stage_tasks
     from language_identification_ray.pipelines.quality_filter import build as _build
@@ -408,10 +415,8 @@ def _run_groups(
     cap = pipeline_kwargs.get("langid_concurrency")
     if cap is None:
         cap = _default_stage_tasks()
-    kwargs = {**pipeline_kwargs, "langid_concurrency": cap}
-    batch_size = kwargs.get("batch_size", inspect.signature(_build).parameters["batch_size"].default)
-    if batch_size is not None:  # None: Ray's whole-block batches, as asked
-        kwargs["batch_size"] = _task_rows(batch_size, input_bytes, sum(expected.values()))
+    task_rows = _task_rows(batch_size, input_bytes, sum(expected.values()), cap)
+    kwargs = {**pipeline_kwargs, "langid_concurrency": cap, "batch_size": task_rows}
     out = _build(pages, **kwargs).map_batches(
         _write_groups,
         batch_format="pyarrow",

@@ -388,3 +388,21 @@ def test_long_pages_run_as_byte_sized_fused_stage_writer_tasks(
     want = pa.concat_tables(stage(pages.slice(i, 1024)) for i in range(0, pages.num_rows, 1024))
     got = pads.dataset(out).to_table()
     assert got.sort_by("url").equals(want.sort_by("url"))
+
+
+def test_task_rows_shrinks_only_short_executions():
+    """batch_size rows per stage task once the execution has two such tasks
+    per stage slot; below that, about TARGET_BYTES of input per task, never
+    more than batch_size rows."""
+    from language_identification_ray.pipelines.checkpoint import TARGET_BYTES, _task_rows
+
+    # 2,000 pages of 5 KB at 1,024 rows and cap 2: byte-sized tasks
+    assert _task_rows(1024, 2000 * 5120, 2000, cap=2) == TARGET_BYTES // 5120
+    # 24,000 of the same pages at 4,096 rows: 5.9 tasks, ≥ 2 per slot
+    assert _task_rows(4096, 24000 * 5120, 24000, cap=2) == 4096
+    assert _task_rows(1024, 4096 * 5120, 4096, cap=2) == 1024
+    # short rows in a short execution: capped by batch_size
+    assert _task_rows(1024, 2000 * 100, 2000, cap=2) == 1024
+    # empty footers or huge rows: still at least one row per task
+    assert _task_rows(1024, 0, 0, cap=2) == 1024
+    assert _task_rows(1024, 10 * TARGET_BYTES, 3, cap=2) == 1
